@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, dirichlet, geometry, herglotz, specfun
+from . import certify, dirichlet, geometry, herglotz, linalg, specfun
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -441,6 +441,28 @@ def _finish(report: dict, t0: float, args, write: bool = True) -> None:
         _write_report(report, args.out)
 
 
+def _check_args(args) -> None:
+    """Reject flag values the pipelines cannot run with (exit 4)."""
+    if not (math.isfinite(args.k) and args.k > 0.0):
+        raise InputError(f"--k must be finite and positive, got {args.k}")
+    if not math.isfinite(args.c0):
+        raise InputError(f"--c0 must be finite, got {args.c0}")
+    if args.max_order is not None and args.max_order < 0:
+        raise InputError(f"--max-order must be nonnegative, got {args.max_order}")
+    if args.n_col is not None:
+        # herglotz.fit_boundary's floor; the default order is at least 10
+        floor = 32 if args.max_order is None else min(32, 4 * (2 * args.max_order + 1))
+        if args.n_col < floor:
+            raise InputError(f"--n-col must be at least {floor}, got {args.n_col}")
+    if args.mode.strip().lower() != "auto":
+        try:
+            linalg.parse_mode(args.mode)
+        except ValueError as exc:
+            raise InputError(f"--mode: {exc}") from exc
+    if getattr(args, "m", 1) < 1:
+        raise InputError(f"--m must be at least 1, got {args.m}")
+
+
 def _load_domain_arg(args):
     if not args.domain:
         raise InputError("--domain is required for this command")
@@ -533,6 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import hankel1 as _hankel1
 from scipy.stats import qmc
 
 from . import geometry, linalg, specfun
@@ -209,9 +208,8 @@ def _charge_points(domain, n_src: int, dist: float) -> np.ndarray:
 
 
 def _phi_matrix(k: float, targets: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    diff = targets[:, None, :] - sources[None, :, :]
-    r = np.hypot(diff[..., 0], diff[..., 1])
-    return 0.25j * _hankel1(0, k * r)
+    """Fundamental solution between every target (row) and source (column)."""
+    return specfun.fundamental_solution(k, targets[:, None, :] - sources[None, :, :])
 
 
 def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,

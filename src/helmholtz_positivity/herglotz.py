@@ -12,9 +12,12 @@ coefficients
 
     u(r, theta) = a0 J0(kr) + sum_m [ac_m cos(m theta) + as_m sin(m theta)] Jm(kr)
 
-about a chosen expansion center. Fits to boundary or interior targets are
-regularized least squares in this real basis, with validation residuals
-reported on samplings disjoint from the collocation.
+about a chosen expansion center. The basis columns come from one
+J_0..J_M recurrence table (specfun.bessel_j_table) and the powers of
+e^{i theta}. Fits to boundary or interior targets are regularized least
+squares in this real basis, with validation residuals reported on samplings
+disjoint from the collocation; the automatic mode picks its truncation
+threshold from a ladder of filters applied to a single SVD.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import jv
 
-from . import dirichlet, geometry, linalg
+from . import dirichlet, geometry, linalg, specfun
 
 __all__ = [
     "FitFailedError",
@@ -140,16 +142,25 @@ def density_l1_bound(wave: FourierBesselWave) -> float:
 
 
 def _basis_matrix(pts_rel: np.ndarray, k: float, M: int) -> np.ndarray:
-    """Columns [J0, J1 cos, J1 sin, ..., JM cos, JM sin] at each point."""
+    """Columns [J0, J1 cos, J1 sin, ..., JM cos, JM sin] at each point.
+
+    The Bessel values come from one recurrence table; cos(m phi) and
+    sin(m phi) are the real and imaginary parts of the running product
+    e^{i m phi} = e^{i (m-1) phi} (x + i y) / r.
+    """
     r = np.hypot(pts_rel[:, 0], pts_rel[:, 1])
-    phi = np.arctan2(pts_rel[:, 1], pts_rel[:, 0])
-    orders = np.arange(0, M + 1)
-    J = jv(orders[None, :], k * r[:, None])
-    cols = [J[:, 0]]
+    J = specfun.bessel_j_table(M, k * r)
+    z = pts_rel[:, 0] + 1j * pts_rel[:, 1]
+    unit = np.divide(z, r, out=np.ones_like(z), where=r > 0.0)
+    powers = np.empty((M + 1, len(r)), dtype=complex)
+    powers[0] = 1.0
     for m in range(1, M + 1):
-        cols.append(J[:, m] * np.cos(m * phi))
-        cols.append(J[:, m] * np.sin(m * phi))
-    return np.stack(cols, axis=1)
+        np.multiply(powers[m - 1], unit, out=powers[m])
+    basis = np.empty((2 * M + 1, len(r)))
+    basis[0] = J[0]
+    np.multiply(J[1:], powers[1:].real, out=basis[1::2])
+    np.multiply(J[1:], powers[1:].imag, out=basis[2::2])
+    return basis.T
 
 
 def _coef_vector(wave: FourierBesselWave) -> np.ndarray:
@@ -275,17 +286,14 @@ def _auto_tsvd_solve(A: np.ndarray, b: np.ndarray, scale: float):
     certificate downstream. The rule: accept a threshold once its max
     collocation misfit is within 2x of the best over the ladder, or below
     2 percent of the target scale. Selection uses only collocation data;
-    validation stays untouched.
+    validation stays untouched. All thresholds share one SVD of A.
     """
-    sols = {t: linalg.lstsq(A, b, mode=("tsvd", t)) for t in AUTO_TSVD_LADDER}
-    colmax = {t: float(np.max(np.abs(A @ s.coefficients - b)))
-              for t, s in sols.items()}
-    best = min(colmax.values())
-    accept = max(2.0 * best, 0.02 * scale)
-    for t in AUTO_TSVD_LADDER:  # largest threshold first
-        if colmax[t] <= accept:
-            return sols[t], ("tsvd", t)
-    return sols[AUTO_TSVD_LADDER[-1]], ("tsvd", AUTO_TSVD_LADDER[-1])
+    sols = linalg.tsvd_ladder(A, b, AUTO_TSVD_LADDER)
+    colmax = [float(np.max(np.abs(A @ s.coefficients - b))) for s in sols]
+    accept = max(2.0 * min(colmax), 0.02 * scale)
+    # largest threshold first; the one with the best misfit always qualifies
+    i = next(i for i, c in enumerate(colmax) if c <= accept)
+    return sols[i], ("tsvd", AUTO_TSVD_LADDER[i])
 
 
 def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
@@ -382,7 +390,6 @@ def fit_interior(points, values, k: float, M: int | None = None, mode="qr",
     check = hold if len(hold) else fitidx
     misfit = eval_series(wave, pts[check]) - vals[check]
     report = _validation_report(wave, misfit, mode_text, len(fitidx))
-    scale = max(float(np.max(np.abs(vals))), 1e-300)
     if report.residual_max > fail_threshold * scale:
         raise FitFailedError(
             f"interior fit failed: residual_max {report.residual_max:.3e} "

@@ -1,8 +1,10 @@
 """Dense least squares for the wave fits: pivoted QR, truncated SVD, Tikhonov.
 
-Complex systems are solved through the standard 2x-size realification so a
-single real kernel serves everything; the reported residual is always
-recomputed on the original system.
+Real and complex systems go through the same kernels in their own dtype
+(complex ones with conjugate transposes), so the effective rank of a
+complex system is its complex rank. The reported residual is always
+recomputed on the system as given. `tsvd_ladder` returns the truncated-SVD
+solutions for several thresholds from a single SVD.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "qr_pivot",
     "svd",
     "lstsq",
+    "tsvd_ladder",
 ]
 
 DEFAULT_TSVD_THRESHOLD = 1e-12
@@ -79,71 +82,73 @@ def svd(A: np.ndarray):
     return U, s, Vh.conj().T
 
 
-def _realify(A: np.ndarray, b: np.ndarray):
-    Ar = np.block([[A.real, -A.imag], [A.imag, A.real]])
-    br = np.concatenate([b.real, b.imag])
-    return Ar, br
-
-
-def lstsq(A, b, mode="qr") -> LeastSquaresSolution:
-    """Minimize ||A x - b||_2 (plus alpha^2 ||x||^2 in tikhonov mode)."""
+def _system(A, b):
+    """Validate a least-squares system; cast both sides to a common dtype."""
     A = np.asarray(A)
     b = np.asarray(b)
     if A.ndim != 2 or b.ndim != 1 or b.shape[0] != A.shape[0]:
         raise ValueError("need a 2-D matrix and a matching right-hand side")
-    if not (np.all(np.isfinite(A.real)) and np.all(np.isfinite(A.imag)) and
-            np.all(np.isfinite(b.real)) and np.all(np.isfinite(b.imag))):
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
         raise ValueError("non-finite entries in the least-squares system")
-    kind, param = parse_mode(mode)
+    dtype = complex if np.iscomplexobj(A) or np.iscomplexobj(b) else float
+    return A.astype(dtype, copy=False), b.astype(dtype, copy=False)
 
-    complex_input = np.iscomplexobj(A) or np.iscomplexobj(b)
-    if complex_input:
-        Ar, br = _realify(A.astype(complex), b.astype(complex))
-    else:
-        Ar, br = A.astype(float), b.astype(float)
 
-    ncols = Ar.shape[1]
-    if not np.any(Ar):
-        x = np.zeros(ncols)
-        rank, cutoff = 0, 0.0
-    elif kind == "qr":
-        Q, R, perm = scipy.linalg.qr(Ar, mode="economic", pivoting=True)
-        diag = np.abs(np.diag(R))
-        cutoff = max(Ar.shape) * np.finfo(float).eps * diag[0]
-        rank = int(np.count_nonzero(diag > cutoff))
-        z = Q.T @ br
-        y = np.zeros(ncols)
-        y[:rank] = scipy.linalg.solve_triangular(R[:rank, :rank], z[:rank])
-        x = np.zeros(ncols)
-        x[perm] = y
-    else:
-        U, s, V = svd(Ar)
-        if kind == "tsvd":
-            cutoff = param * s[0]
-            keep = s > cutoff
-            rank = int(np.count_nonzero(keep))
-            filt = np.zeros_like(s)
-            filt[keep] = 1.0 / s[keep]
-        else:  # tikhonov
-            cutoff = param
-            floor = max(Ar.shape) * np.finfo(float).eps * s[0]
-            keep = s > floor
-            filt = np.zeros_like(s)
-            if param == 0.0:
-                filt[keep] = 1.0 / s[keep]
-            else:
-                filt[keep] = s[keep] / (s[keep] ** 2 + param ** 2)
-            rank = int(np.count_nonzero(s > max(param, floor)))
-        x = V @ (filt * (U.T @ br))
-
-    if complex_input:
-        coef = x[: ncols // 2] + 1j * x[ncols // 2:]
-        A_orig, b_orig = A.astype(complex), b.astype(complex)
-    else:
-        coef = x
-        A_orig, b_orig = Ar, br
-    residual = float(np.linalg.norm(A_orig @ coef - b_orig))
-    return LeastSquaresSolution(coefficients=coef, residual_norm=residual,
+def _solution(A, b, x, rank, cutoff, mode) -> LeastSquaresSolution:
+    residual = float(np.linalg.norm(A @ x - b))
+    return LeastSquaresSolution(coefficients=x, residual_norm=residual,
                                 effective_rank=rank,
                                 truncation_threshold=float(cutoff),
                                 mode=mode_label(mode))
+
+
+def tsvd_ladder(A, b, thresholds) -> list:
+    """Truncated-SVD solutions, one per relative threshold, from one SVD.
+
+    Entry i equals lstsq(A, b, mode=("tsvd", thresholds[i])).
+    """
+    A, b = _system(A, b)
+    U, s, V = svd(A)
+    Ub = U.conj().T @ b
+    out = []
+    for t in thresholds:
+        cutoff = t * s[0]
+        keep = s > cutoff
+        filt = np.zeros_like(s)
+        filt[keep] = 1.0 / s[keep]
+        out.append(_solution(A, b, V @ (filt * Ub), int(np.count_nonzero(keep)),
+                             cutoff, ("tsvd", t)))
+    return out
+
+
+def lstsq(A, b, mode="qr") -> LeastSquaresSolution:
+    """Minimize ||A x - b||_2 (plus alpha^2 ||x||^2 in tikhonov mode)."""
+    kind, param = parse_mode(mode)
+    if kind == "tsvd":
+        return tsvd_ladder(A, b, (param,))[0]
+    A, b = _system(A, b)
+    ncols = A.shape[1]
+    if not np.any(A):
+        x = np.zeros(ncols, dtype=A.dtype)
+        rank, cutoff = 0, 0.0
+    elif kind == "qr":
+        Q, R, perm = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        diag = np.abs(np.diag(R))
+        cutoff = max(A.shape) * np.finfo(float).eps * diag[0]
+        rank = int(np.count_nonzero(diag > cutoff))
+        z = Q.conj().T @ b
+        x = np.zeros(ncols, dtype=A.dtype)
+        x[perm[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], z[:rank])
+    else:  # tikhonov
+        U, s, V = svd(A)
+        cutoff = param
+        floor = max(A.shape) * np.finfo(float).eps * s[0]
+        keep = s > floor
+        filt = np.zeros_like(s)
+        if param == 0.0:
+            filt[keep] = 1.0 / s[keep]
+        else:
+            filt[keep] = s[keep] / (s[keep] ** 2 + param ** 2)
+        rank = int(np.count_nonzero(s > max(param, floor)))
+        x = V @ (filt * (U.conj().T @ b))
+    return _solution(A, b, x, rank, cutoff, mode)

@@ -1,9 +1,13 @@
 """Bessel-family special functions and the planar outgoing fundamental solution.
 
 Integer orders serve the planar pipelines; half-integer orders cover the
-radial three-dimensional cross-checks. Function values come from
+radial three-dimensional cross-checks. Single function values come from
 scipy.special; positive zeros are located here by a bracketing scan
-refined with Brent's method and a Newton polish.
+refined with Brent's method and a Newton polish. The two kernels the
+pipelines evaluate in bulk live here too: the table J_0..J_M behind every
+Fourier-Bessel basis (one backward recurrence for all orders), and the
+fundamental solution (i/4) H_0^(1) behind every charge matrix (from j0
+and y0, which are much cheaper than the general-order Hankel function).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ __all__ = [
     "bessel_yp",
     "hankel1",
     "bessel_zero",
+    "bessel_j_table",
     "fundamental_solution",
 ]
 
@@ -134,6 +139,71 @@ def bessel_zero(order, m: int) -> float:
     return _zeros_cached(int(round(2.0 * nu)), m)[m - 1]
 
 
+#: Miller's recurrence rescales its columns once their size may pass this.
+_RESCALE = 1e250
+#: Below this argument the leading series term (x/2)^m / m! is J_m(x) to
+#: double precision (the next term is smaller by (x/2)^2 / (m + 1)).
+_SERIES_X = 1e-30
+
+
+def bessel_j_table(M: int, x) -> np.ndarray:
+    """J_0(x) .. J_M(x) at every x >= 0, as an (M + 1, len(x)) array.
+
+    Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} (DLMF
+    10.74(iv)) runs from an even start order far above max(M, x), where
+    J_n is negligible, down to order 0, and is normalised by
+    J_0 + 2 (J_2 + J_4 + ...) = 1 (DLMF 10.12.4). One step multiplies the
+    size of a column by at most 2n/x + 1; once that bound passes 1e250,
+    every column above 1 is divided by its own size, so the growth at
+    small x cannot overflow. Below x = 1e-30 (x = 0 included) the leading
+    series term is exact and is used instead.
+    """
+    M = int(M)
+    if M < 0:
+        raise ValueError(f"order M must be nonnegative, got {M}")
+    x = np.asarray(x, dtype=float).ravel()
+    if not np.all((x >= 0.0) & np.isfinite(x)):
+        raise ValueError("bessel_j_table requires finite x >= 0")
+    table = np.empty((M + 1, len(x)))
+    if len(x) == 0:
+        return table
+    top = max(M, float(x.max()))
+    start = int(math.ceil(top + 30.0 + math.sqrt(160.0 * top)))
+    start += start % 2
+    series = x < _SERIES_X
+    two_over_x = 2.0 / np.where(series, 1.0, x)
+    growth = float(two_over_x.max())
+    above = np.zeros(len(x))          # J_{n+1}, unnormalised
+    cur = np.full(len(x), 1e-300)     # J_n
+    nxt = np.empty(len(x))
+    even_sum = np.zeros(len(x))       # J_2 + J_4 + ... so far
+    bound = 1e-300                    # >= max |J_n|, |J_{n+1}| over columns
+    for n in range(start, 0, -1):
+        if n <= M:
+            table[n] = cur
+        if n % 2 == 0:
+            even_sum += cur
+        np.multiply(two_over_x, n, out=nxt)
+        nxt *= cur
+        nxt -= above
+        above, cur, nxt = cur, nxt, above
+        bound *= n * growth + 1.0
+        if bound > _RESCALE:
+            size = np.maximum(np.maximum(np.abs(cur), np.abs(above)), 1.0)
+            cur /= size
+            above /= size
+            even_sum /= size
+            table[n:] /= size
+            bound = 1.0
+    table[0] = cur
+    table /= 2.0 * even_sum + cur
+    if series.any():
+        half = 0.5 * x[series]
+        table[:, series] = np.cumprod(
+            np.vstack([np.ones_like(half), half / np.arange(1, M + 1)[:, None]]), axis=0)
+    return table
+
+
 def fundamental_solution(k: float, x):
     """Outgoing planar fundamental solution (i/4) H^(1)_0(k |x|).
 
@@ -149,7 +219,10 @@ def fundamental_solution(k: float, x):
     r = np.hypot(xa[..., 0], xa[..., 1])
     if np.any(r == 0.0):
         raise ValueError("fundamental_solution is singular at x = 0")
-    out = 0.25j * special.hankel1(0, k * r)
+    kr = k * r
+    out = np.empty(kr.shape, dtype=complex)
+    out.real = -0.25 * special.y0(kr)  # (i/4)(J0 + i Y0)
+    out.imag = 0.25 * special.j0(kr)
     if xa.ndim == 1:
         return complex(out)
     return out

@@ -81,6 +81,22 @@ def test_bad_domain_json_exit4(files, capsys):
     assert run(["positive-boundary", "--domain", str(bad)]) == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["positive-boundary", "--k", "0"],
+    ["positive-boundary", "--k", "nan"],
+    ["positive-boundary", "--k", "inf"],
+    ["positive-boundary", "--max-order", "-1"],
+    ["positive-boundary", "--mode", "bogus"],
+    ["positive-boundary", "--n-col", "5"],
+    ["counterexample", "--m", "0"],
+    ["positive-boundary", "--c0", "nan"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_flag_values_exit4(files, capsys, argv):
+    assert run(argv + ["--domain", files["square.json"]]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+
+
 def test_positive_set_tube_pipeline(files):
     out = str(files["tmp"] / "set.json")
     code = run(["positive-set", "--target", files["targets.json"],

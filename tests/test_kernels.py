@@ -1,0 +1,95 @@
+"""The bulk special-function and least-squares kernels against references.
+
+Each kernel replaced a slower direct evaluation; the references here are
+those direct forms: scipy.special.jv per order, scipy.special.hankel1, and
+one linalg.lstsq call per threshold of the auto ladder.
+"""
+
+import numpy as np
+import pytest
+from scipy import special
+
+from helmholtz_positivity import dirichlet as dr
+from helmholtz_positivity import geometry as g
+from helmholtz_positivity import herglotz as hg
+from helmholtz_positivity import linalg as la
+from helmholtz_positivity import specfun as sf
+
+UNIT_SQUARE = g.polygon([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+L_SHAPE = g.polygon(0.5 * np.array([[-1, -1], [1, -1], [1, 0],
+                                    [0, 0], [0, 1], [-1, 1]], dtype=float))
+
+
+@pytest.mark.parametrize("M", [0, 1, 10, 40])
+def test_bessel_table_matches_jv(M):
+    # x > M is covered for every M, as are x = 0 and tiny arguments
+    x = np.concatenate([[0.0, 1e-12, 1e-3], np.linspace(0.0, 60.0, 1201)])
+    table = sf.bessel_j_table(M, x)
+    ref = special.jv(np.arange(M + 1)[:, None], x[None, :])
+    assert table.shape == (M + 1, len(x))
+    assert np.max(np.abs(table - ref)) <= 5e-15
+
+
+def test_bessel_table_rejects_bad_input():
+    with pytest.raises(ValueError):
+        sf.bessel_j_table(-1, [1.0])
+    with pytest.raises(ValueError):
+        sf.bessel_j_table(3, [-1.0])
+    with pytest.raises(ValueError):
+        sf.bessel_j_table(3, [np.nan])
+
+
+def test_basis_matrix_matches_direct_columns():
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(-3.0, 3.0, (200, 2))
+    pts[0] = 0.0
+    k, M = 1.7, 12
+    r = np.hypot(pts[:, 0], pts[:, 1])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    cols = [special.jv(0, k * r)]
+    for m in range(1, M + 1):
+        cols += [special.jv(m, k * r) * np.cos(m * phi),
+                 special.jv(m, k * r) * np.sin(m * phi)]
+    assert np.max(np.abs(hg._basis_matrix(pts, k, M) - np.stack(cols, axis=1))) <= 5e-15
+
+
+def test_fundamental_kernel_matches_hankel1():
+    rng = np.random.default_rng(8)
+    targets = rng.uniform(-1.0, 1.0, (60, 2))
+    sources = rng.uniform(1.5, 4.0, (40, 2))
+    k = 1.3
+    diff = targets[:, None, :] - sources[None, :, :]
+    ref = 0.25j * special.hankel1(0, k * np.hypot(diff[..., 0], diff[..., 1]))
+    got = dr._phi_matrix(k, targets, sources)
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+    one = sf.fundamental_solution(k, diff[3, 5])
+    assert abs(one - ref[3, 5]) <= 1e-13 * abs(ref[3, 5])
+
+
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, L_SHAPE], ids=["square", "L"])
+def test_one_svd_ladder_matches_separate_solves(domain):
+    # the system fit_boundary(domain, 1, 1, M=20) solves
+    k, M = 1.0, 20
+    col = g.sample_boundary(domain, 4 * (2 * M + 1))
+    A = hg._basis_matrix(col.points - g.centroid(domain), k, M)
+    b = np.ones(len(A))
+    sols = [la.lstsq(A, b, mode=("tsvd", t)) for t in hg.AUTO_TSVD_LADDER]
+    colmax = [np.max(np.abs(A @ s.coefficients - b)) for s in sols]
+    accept = max(2.0 * min(colmax), 0.02)
+    i = next(i for i, c in enumerate(colmax) if c <= accept)
+
+    sol, mode = hg._auto_tsvd_solve(A, b, scale=1.0)
+    assert mode == ("tsvd", hg.AUTO_TSVD_LADDER[i])
+    assert sol.mode == sols[i].mode
+    assert np.max(np.abs(sol.coefficients - sols[i].coefficients)) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["qr", "tsvd:1e-12"])
+def test_complex_lstsq_reports_complex_rank(mode):
+    rng = np.random.default_rng(31)
+    left = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
+    right = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
+    b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
+    sol = la.lstsq(left @ right, b, mode=mode)
+    assert sol.effective_rank == 3
+    assert np.iscomplexobj(sol.coefficients)
