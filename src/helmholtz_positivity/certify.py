@@ -5,7 +5,8 @@ margin: a plane-wave superposition with density f obeys
 
     |grad u| <= k ||f||_{L1}  <=  2 pi k sqrt(sum |c_m|^2),
 
-so a positive minimum over samples with chord gap g certifies positivity
+so a positive minimum over samples spaced g apart in arclength (every
+boundary point is then within g/2 of a sample) certifies positivity
 of the exact wave once min - L g/2 > 0 (rigorous modulo special-function
 evaluation error). Two classical facts about entire real solutions are
 checked numerically: they change sign on every circle whose radius is a

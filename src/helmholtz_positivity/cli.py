@@ -459,8 +459,10 @@ def _check_args(args) -> None:
             linalg.parse_mode(args.mode)
         except ValueError as exc:
             raise InputError(f"--mode: {exc}") from exc
-    if getattr(args, "m", 1) < 1:
-        raise InputError(f"--m must be at least 1, got {args.m}")
+    for name in ("m", "samples_interior", "samples_fit", "n_waves"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
 
 
 def _load_domain_arg(args):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from . import geometry, linalg, specfun
 
@@ -300,16 +299,68 @@ def evaluate_interior(solution, pts) -> np.ndarray:
     return vals
 
 
+_HALTON_BASES = (2, 3)
+
+
+def _halton_permutations(seed) -> list:
+    """Owen's random digit permutations: per base, one row for each digit
+    level that can change a double (base**-level > 2**-54).
+
+    They are drawn in the order scipy.stats.qmc.Halton(d=2, scramble=True,
+    seed=seed) draws them, so the sequence below equals scipy's.
+    """
+    rng = np.random.default_rng(seed)
+    perms = []
+    for base in _HALTON_BASES:
+        rows = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        perms.append(rng.permuted(rows, axis=1, out=rows).astype(float))
+    return perms
+
+
+def _scrambled_halton(perms, start: int, n: int) -> np.ndarray:
+    """Points start .. start + n - 1 of the scrambled Halton sequence, (n, 2) in [0, 1)^2.
+
+    Coordinate d of point i is sum_j perms[d][j][digit_j(i)] * base**-(j+1).
+    The terms are added in increasing j with the scale divided by the base
+    once per level; this is scipy's order, and other orders (reversed,
+    Horner) can differ from it in the last bit.
+    """
+    out = np.zeros((2, n))
+    for acc, base, rows in zip(out, _HALTON_BASES, perms):
+        idx = np.arange(start, start + n)
+        top = start + n - 1
+        scale = 1.0
+        for row in rows:
+            scale /= base
+            if top:
+                acc += row[idx % base] * scale
+                idx //= base
+                top //= base
+            else:  # every index has run out of digits: all remaining digits are 0
+                acc += row[0] * scale
+    return out.T
+
+
 def halton_interior(domain, n: int, seed: int = 42) -> np.ndarray:
-    """n quasi-random points strictly inside the domain (scrambled Halton)."""
+    """n quasi-random points strictly inside the domain.
+
+    Candidates run through a scrambled Halton sequence (bases 2 and 3,
+    Owen's random digit permutations, arXiv:1706.02808) over the bounding
+    box and are kept when inside. The sequence equals
+    scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed) point for point.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one interior point, got n={n}")
     pieces = geometry.sample_boundary(domain, 256).points
     lo = pieces.min(axis=0)
     hi = pieces.max(axis=0)
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    perms = _halton_permutations(seed)
     out = []
-    need = n
+    start, need = 0, n
     while need > 0:
-        cand = lo + sampler.random(max(4 * need, 64)) * (hi - lo)
+        batch = max(4 * need, 64)
+        cand = lo + _scrambled_halton(perms, start, batch) * (hi - lo)
+        start += batch
         keep = cand[geometry.inside_mask(domain, cand)]
         out.append(keep[:need])
         need -= len(keep[:need])

@@ -166,7 +166,7 @@ class BoundarySampling:
     normals: np.ndarray     # (n, 2) outward unit normals
     arclengths: np.ndarray  # (n,) positions along the boundary
     gaps: np.ndarray        # (n,) chord to the next sample, wrap-around
-    max_gap: float
+    max_gap: float          # arclength step perimeter / n >= every chord
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,9 @@ def sample_boundary(domain, n: int, offset: float = 0.0) -> BoundarySampling:
 
     `offset` shifts the sampling by that fraction of one step; distinct
     offsets give disjoint samplings (used to keep validation samples
-    independent of collocation samples).
+    independent of collocation samples). `max_gap` is the arclength step,
+    not the largest chord: every boundary point lies within max_gap / 2 of
+    a sample, which a chord does not guarantee on an arc or for n = 1.
     """
     n = int(n)
     if n < 1:
@@ -526,7 +528,7 @@ def sample_boundary(domain, n: int, offset: float = 0.0) -> BoundarySampling:
     pts, nrm = boundary_points_at(domain, s)
     gaps = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
     return BoundarySampling(points=pts, normals=nrm, arclengths=s,
-                            gaps=gaps, max_gap=float(np.max(gaps)))
+                            gaps=gaps, max_gap=float(step))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Integer orders serve the planar pipelines; half-integer orders cover the
 radial three-dimensional cross-checks. Single function values come from
 scipy.special; positive zeros are located here by a bracketing scan
-refined with Brent's method and a Newton polish. The two kernels the
+refined by bisection and a Newton polish. The two kernels the
 pipelines evaluate in bulk live here too: the table J_0..J_M behind every
 Fourier-Bessel basis (one backward recurrence for all orders), and the
 fundamental solution (i/4) H_0^(1) behind every charge matrix (from j0
@@ -16,7 +16,7 @@ import functools
 import math
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "bessel_j",
@@ -101,8 +101,9 @@ def _zeros_cached(twice_nu: int, count: int) -> tuple:
 
     Scans rightward from x = max(nu, 0.5), where J_nu is strictly positive
     (the first zero exceeds the order), with step pi/4, well below the
-    minimal zero spacing. Each bracket is resolved by Brent's method and
-    polished with two Newton steps.
+    minimal zero spacing. Each bracket is bisected until its midpoint is no
+    longer strictly inside it (adjacent doubles) and polished with two
+    Newton steps.
     """
     nu = twice_nu / 2.0
     f = lambda t: special.jv(nu, t)
@@ -120,7 +121,19 @@ def _zeros_cached(twice_nu: int, count: int) -> tuple:
         if f2 == 0.0:
             zeros.append(x2)
         elif fx * f2 < 0.0:
-            root = optimize.brentq(f, x, x2, xtol=1e-14, rtol=8.9e-16)
+            # A fixed width test would never end where the doubles are
+            # spaced wider than it (1.4e-14 near x = 80).
+            a, b, fa = x, x2, fx
+            root = 0.5 * (a + b)
+            while a < root < b:
+                fm = f(root)
+                if fm == 0.0:
+                    break
+                if (fm < 0.0) == (fa < 0.0):
+                    a, fa = root, fm
+                else:
+                    b = root
+                root = 0.5 * (a + b)
             for _ in range(2):
                 deriv = special.jvp(nu, root)
                 if deriv != 0.0:

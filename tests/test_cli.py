@@ -90,11 +90,23 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-boundary", "--n-col", "5"],
     ["counterexample", "--m", "0"],
     ["positive-boundary", "--c0", "nan"],
+    ["positive-set", "--samples-interior", "0"],
+    ["positive-set", "--samples-fit", "0"],
+    ["counterexample", "--n-waves", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit4(files, capsys, argv):
     assert run(argv + ["--domain", files["square.json"]]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
+    assert argv[1] in err[0]
+
+
+def test_one_boundary_sample_does_not_certify(files):
+    out = str(files["tmp"] / "one.json")
+    code = run(["positive-boundary", "--domain", files["square.json"],
+                "--samples", "1", "--out", out])
+    assert code == 3
+    assert load(out)["certificate"]["certified"] is False
 
 
 def test_positive_set_tube_pipeline(files):

@@ -208,3 +208,9 @@ def test_halton_interior_inside_and_deterministic():
     assert len(pts1) == 200
     assert np.all(g.inside_mask(SQUARE, pts1))
     assert not np.array_equal(pts1, dr.halton_interior(SQUARE, 200, seed=5))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_halton_interior_rejects_empty_request(n):
+    with pytest.raises(ValueError):
+        dr.halton_interior(SQUARE, n)

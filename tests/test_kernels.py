@@ -1,13 +1,24 @@
 """The bulk special-function and least-squares kernels against references.
 
-Each kernel replaced a slower direct evaluation; the references here are
-those direct forms: scipy.special.jv per order, scipy.special.hankel1, and
-one linalg.lstsq call per threshold of the auto ladder.
+Each kernel replaced a slower direct evaluation or a scipy routine; the
+references here are those forms: scipy.special.jv per order,
+scipy.special.hankel1, one linalg.lstsq call per threshold of the auto
+ladder, scipy.special.jn_zeros, and scipy.stats.qmc.Halton. The package
+itself must not import scipy.stats or scipy.optimize (they cost most of a
+cold CLI call), so the references are imported here only.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
+from scipy.stats import qmc
+
+import helmholtz_positivity
 
 from helmholtz_positivity import dirichlet as dr
 from helmholtz_positivity import geometry as g
@@ -93,3 +104,57 @@ def test_complex_lstsq_reports_complex_rank(mode):
     sol = la.lstsq(left @ right, b, mode=mode)
     assert sol.effective_rank == 3
     assert np.iscomplexobj(sol.coefficients)
+
+
+@pytest.mark.parametrize("nu", [0, 1, 2, 30, 60])
+def test_bessel_zeros_match_jn_zeros(nu):
+    ref = special.jn_zeros(nu, 20)
+    got = np.array([sf.bessel_zero(nu, m) for m in range(1, 21)])
+    assert np.all(np.abs(got - ref) <= 4 * np.spacing(ref))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 42, 1234, 12345])
+def test_scrambled_halton_equals_scipy(seed):
+    ref = qmc.Halton(d=2, scramble=True, seed=seed)
+    perms = dr._halton_permutations(seed)
+    assert np.array_equal(dr._scrambled_halton(perms, 0, 100), ref.random(100))
+    assert np.array_equal(dr._scrambled_halton(perms, 100, 2000), ref.random(2000))
+
+
+def scipy_halton_interior(domain, n, seed):
+    """halton_interior as it was written on top of scipy's sampler."""
+    pieces = g.sample_boundary(domain, 256).points
+    lo, hi = pieces.min(axis=0), pieces.max(axis=0)
+    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    out, need = [], n
+    while need > 0:
+        cand = lo + sampler.random(max(4 * need, 64)) * (hi - lo)
+        keep = cand[g.inside_mask(domain, cand)]
+        out.append(keep[:need])
+        need -= len(keep[:need])
+    return np.concatenate(out, axis=0)
+
+
+@pytest.mark.parametrize("domain", [
+    UNIT_SQUARE, L_SHAPE, g.disk([0.2, -0.1], 0.9),
+    g.tube_of([[0, 0], [1, 1]], 0.02),  # fills ~5% of its box: several rounds
+], ids=["square", "L", "disk", "thin-tube"])
+@pytest.mark.parametrize("n, seed", [(1, 5), (40, 3), (600, 42), (1000, 99)])
+def test_halton_interior_equals_scipy_sampler(domain, n, seed):
+    assert np.array_equal(dr.halton_interior(domain, n, seed=seed),
+                          scipy_halton_interior(domain, n, seed))
+
+
+def test_cli_imports_neither_scipy_stats_nor_optimize():
+    code = ("import sys\n"
+            "from helmholtz_positivity import cli\n"
+            "assert cli.main(['selftest']) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.stats', 'scipy.optimize'))))\n")
+    src = str(Path(helmholtz_positivity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
