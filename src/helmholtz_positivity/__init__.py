@@ -19,7 +19,6 @@ from .certify import (
     sign_change_on_circle,
 )
 from .dirichlet import (
-    DegenerateEqualityError,
     DirichletProblem,
     DiskSolution,
     GateError,

@@ -12,7 +12,8 @@ evaluation error). Two classical facts about entire real solutions are
 checked numerically: they change sign on every circle whose radius is a
 scaled J0 zero (with a vanishing flux integral against the radial solution
 that vanishes there), and they have a zero in every closed ball of radius
-j01/k.
+j01/k. Every result is a frozen dataclass; the CLI writes it into its
+report with dataclasses.asdict.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, herglotz, specfun
+from scipy import special  # after .linalg: loading scipy.linalg first imports faster
 
 __all__ = [
     "PositivityCertificate",
@@ -32,8 +34,6 @@ __all__ = [
     "certify_positive_on_set",
     "sign_change_on_circle",
     "scan_for_zero",
-    "empirical_max_slope",
-    "certificate_to_json",
 ]
 
 
@@ -133,7 +133,7 @@ def sign_change_on_circle(wave: herglotz.FourierBesselWave, m: int,
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     degenerate = float(np.max(np.abs(vals))) <= 1e-10 * norm
     # v(x) = J0(k|x - c|) vanishes at the sampled radius; d/dr v = -k J1(kR).
-    dvdr = -k * specfun.bessel_j(1, k * radius)
+    dvdr = -k * special.jv(1, k * radius)
     flux = dvdr * radius * (2.0 * math.pi / n_samples) * float(np.sum(vals))
     return SignChangeReport(circle_radius=radius, min_on_circle=vmin,
                             max_on_circle=vmax,
@@ -171,28 +171,3 @@ def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float,
                     positive_point=tuple(pts[i_max]) if found else None,
                     negative_point=tuple(pts[i_min]) if found else None,
                     identically_small=False, n_grid=len(pts))
-
-
-def empirical_max_slope(wave: herglotz.FourierBesselWave,
-                        points: np.ndarray) -> float:
-    """Max |u(x_{i+1}) - u(x_i)| / |x_{i+1} - x_i| along an ordered sampling.
-
-    Diagnostic only: a sampled slope is not a rigorous Lipschitz bound.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = herglotz.eval_series(wave, pts)
-    dv = np.abs(np.diff(vals))
-    dx = np.hypot(*np.diff(pts, axis=0).T)
-    return float(np.max(dv / np.maximum(dx, 1e-300)))
-
-
-def certificate_to_json(cert: PositivityCertificate) -> dict:
-    return {
-        "min_sample": cert.min_sample,
-        "lipschitz_bound": cert.lipschitz_bound,
-        "max_gap": cert.max_gap,
-        "certified_margin": cert.certified_margin,
-        "certified": cert.certified,
-        "n_samples": cert.n_samples,
-        "min_point": list(cert.min_point),
-    }

@@ -11,8 +11,8 @@ scan-k              CSV sweep of gate/residual/margin over a wavenumber range
 selftest            run the built-in invariant suite and print a table
 
 Exit codes: 0 success/certified, 2 gate failure, 3 fit/solve failure,
-4 input error. Reports are deterministic for a fixed config and seed
-(all randomness is seeded; the wall_time_s field is the one exception).
+4 input error (usage errors too). Reports are deterministic for a fixed
+config and seed (all randomness is seeded; the wall_time_s field is the one exception).
 """
 
 from __future__ import annotations
@@ -26,17 +26,29 @@ import time
 from pathlib import Path
 
 import numpy as np
+from scipy import special
 
-from . import certify, dirichlet, geometry, herglotz, linalg, specfun
+from . import certify, dirichlet, geometry, herglotz, specfun
 
 EXIT_OK = 0
 EXIT_GATE = 2
 EXIT_FIT = 3
 EXIT_INPUT = 4
 
+#: Highest Fourier-Bessel order a command fits with (a fit's memory grows with
+#: its square), for --max-order and for the order k and the domain ask for.
+_MAX_ORDER = 200
+
 
 class InputError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors: argparse's exit code 2 means a gate failure here."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -44,26 +56,14 @@ class InputError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
+    """Reports hold dicts, lists, tuples and Python or numpy scalars."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
-
-
-def _write_report(report: dict, path) -> None:
-    if path:
-        Path(path).write_text(
-            json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8")
 
 
 def _write_csv(rows, header, path) -> None:
@@ -170,8 +170,8 @@ def cmd_positive_boundary(args) -> int:
         return EXIT_GATE
     try:
         wave, fit = herglotz.fit_boundary(
-            domain, k, c0, M=args.max_order, n_col=args.n_col,
-            mode=args.mode, override_gate=args.override_gate)
+            domain, k, c0, M=_fit_order(args, k, domain, "--k and the domain"),
+            n_col=args.n_col, mode=args.mode, override_gate=args.override_gate)
     except herglotz.FitFailedError as exc:
         report["fit"] = dataclasses.asdict(exc.report)
         report["error"] = str(exc)
@@ -180,18 +180,7 @@ def cmd_positive_boundary(args) -> int:
 
     sampling = geometry.sample_boundary(domain, args.samples)
     cert = certify.certify_positive(wave, sampling)
-    report["fit"] = dataclasses.asdict(fit)
-    report["certificate"] = certify.certificate_to_json(cert)
-    report["checks"] = _standard_checks(wave, domain, k, args.seed)
-
-    if args.wave:
-        herglotz.save_wave(wave, args.wave)
-    if args.csv:
-        values = herglotz.eval_series(wave, sampling.points)
-        _write_csv(zip(sampling.points[:, 0], sampling.points[:, 1], values),
-                   ("x", "y", "value"), args.csv)
-    _finish(report, t0, args)
-    return EXIT_OK if cert.certified else EXIT_FIT
+    return _certified(report, wave, fit, cert, sampling.points, domain, args, t0)
 
 
 def cmd_positive_set(args) -> int:
@@ -219,11 +208,9 @@ def cmd_positive_set(args) -> int:
         _finish(report, t0, args)
         return EXIT_GATE
     if gate.area_d >= threshold * (1.0 - 1e-12):
-        err = dirichlet.DegenerateEqualityError(
-            "degenerate equality case: the area sits at the gate threshold, "
-            "so k^2 may equal the first eigenvalue; this pipeline requires "
-            "strict inequality")
-        report["error"] = str(err)
+        report["error"] = ("degenerate equality case: the area sits at the gate "
+                           "threshold, so k^2 may equal the first eigenvalue; this "
+                           "pipeline requires strict inequality")
         _finish(report, t0, args)
         return EXIT_GATE
 
@@ -259,16 +246,19 @@ def cmd_positive_set(args) -> int:
         return EXIT_FIT
 
     cert = certify.certify_positive_on_set(wave, targets)
-    report["fit"] = dataclasses.asdict(fit)
-    report["certificate"] = certify.certificate_to_json(cert)
-    report["checks"] = _standard_checks(wave, domain, k, args.seed)
+    return _certified(report, wave, fit, cert, targets.points, domain, args, t0)
 
+
+def _certified(report, wave, fit, cert, points, domain, args, t0) -> int:
+    """The end of both certifying pipelines: report, --wave, --csv, exit code."""
+    report["fit"] = dataclasses.asdict(fit)
+    report["certificate"] = dataclasses.asdict(cert)
+    report["checks"] = _standard_checks(wave, domain, args.k, args.seed)
     if args.wave:
         herglotz.save_wave(wave, args.wave)
     if args.csv:
-        values = herglotz.eval_series(wave, targets.points)
-        _write_csv(zip(targets.points[:, 0], targets.points[:, 1], values),
-                   ("x", "y", "value"), args.csv)
+        values = herglotz.eval_series(wave, points)
+        _write_csv(zip(points[:, 0], points[:, 1], values), ("x", "y", "value"), args.csv)
     _finish(report, t0, args)
     return EXIT_OK if cert.certified else EXIT_FIT
 
@@ -279,6 +269,7 @@ def cmd_counterexample(args) -> int:
     k = args.k
     radius = args.r_scale * specfun.bessel_zero(0, args.m) / k
     domain = geometry.disk((0.0, 0.0), radius)
+    M = _fit_order(args, k, domain, "--r-scale and --m")
     gate = dirichlet.faber_krahn_gate(domain, k)
     report = {
         "command": "counterexample",
@@ -287,7 +278,7 @@ def cmd_counterexample(args) -> int:
         "gate": _gate_dict(gate),
     }
     try:
-        wave, fit = herglotz.fit_boundary(domain, k, args.c0, M=args.max_order,
+        wave, fit = herglotz.fit_boundary(domain, k, args.c0, M=M,
                                           mode=args.mode, override_gate=True)
         report["fit_attempt"] = {"failed": False, **dataclasses.asdict(fit)}
     except herglotz.FitFailedError as exc:
@@ -317,6 +308,7 @@ def cmd_scan_k(args) -> int:
     domain = _load_domain_arg(args)
     if not (0.0 < args.k_min < args.k_max) or args.steps < 2:
         raise InputError("need 0 < k-min < k-max and at least 2 steps")
+    _fit_order(args, args.k_max, domain, "--k-max and the domain")
     rows = []
     for k in np.linspace(args.k_min, args.k_max, args.steps):
         gate = dirichlet.faber_krahn_gate(domain, float(k))
@@ -333,13 +325,10 @@ def cmd_scan_k(args) -> int:
         except herglotz.FitFailedError as exc:
             residual = exc.report.residual_max
         rows.append((float(k), int(gate.passes), residual, margin))
-    _write_csv(rows, ("k", "gate_pass", "residual_max", "certified_margin"),
-               args.csv or args.out)
+    _write_csv(rows, ("k", "gate_pass", "residual_max", "certified_margin"), args.csv)
     report = {"command": "scan-k", "config": _config_echo(args),
               "rows": [list(r) for r in rows]}
-    if args.csv:
-        _write_report(report, args.out)
-    _finish(report, t0, args, write=not args.csv)
+    _finish(report, t0, args)
     return EXIT_OK
 
 
@@ -351,21 +340,20 @@ def _selftest_checks(seed: int = 42):
     x = np.linspace(0.1, 100.0, 157)
     worst = 0.0
     for nu in range(1, 10):
-        lhs = specfun.bessel_j(nu - 1, x) + specfun.bessel_j(nu + 1, x)
-        rhs = (2.0 * nu / x) * specfun.bessel_j(nu, x)
+        lhs = special.jv(nu - 1, x) + special.jv(nu + 1, x)
+        rhs = (2.0 * nu / x) * special.jv(nu, x)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(("bessel_recurrence", worst, 1e-10))
 
     zeros = [specfun.bessel_zero(0, m) for m in range(1, 21)]
     checks.append(("bessel_zero_residual",
-                   max(abs(specfun.bessel_j(0, z)) for z in zeros), 1e-10))
+                   max(abs(special.jv(0, z)) for z in zeros), 1e-10))
     inter = all(specfun.bessel_zero(0, m) < specfun.bessel_zero(1, m)
                 < specfun.bessel_zero(0, m + 1) for m in range(1, 11))
     checks.append(("zero_interlacing", 0.0 if inter else 1.0, 0.5))
 
     xs = rng.uniform(0.05, 60.0, 100)
-    wron = specfun.bessel_j(1, xs) * specfun.bessel_yp(1, xs) \
-        - specfun.bessel_jp(1, xs) * specfun.bessel_y(1, xs)
+    wron = special.jv(1, xs) * special.yvp(1, xs) - special.jvp(1, xs) * special.yv(1, xs)
     checks.append(("wronskian", float(np.max(np.abs(wron - 2.0 / (math.pi * xs)))),
                    1e-9))
 
@@ -435,10 +423,25 @@ def _config_echo(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _finish(report: dict, t0: float, args, write: bool = True) -> None:
+def _finish(report: dict, t0: float, args) -> None:
     report["wall_time_s"] = time.perf_counter() - t0
-    if write:
-        _write_report(report, args.out)
+    if args.out:
+        Path(args.out).write_text(
+            json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n",
+            encoding="utf-8")
+
+
+def _fit_order(args, k: float, domain, flags: str) -> int:
+    """--max-order, else the default order; the default order is held to
+    _MAX_ORDER either way, as the Bessel recurrence starts above k * radius."""
+    try:
+        order = herglotz.default_truncation(k, domain)
+    except OverflowError:  # k * circumradius is infinite
+        order = math.inf
+    if order > _MAX_ORDER:
+        raise InputError(f"{flags} ask for Fourier-Bessel order {order:.6g}, "
+                         f"above the cap of {_MAX_ORDER}")
+    return order if args.max_order is None else args.max_order
 
 
 def _check_args(args) -> None:
@@ -447,22 +450,23 @@ def _check_args(args) -> None:
         raise InputError(f"--k must be finite and positive, got {args.k}")
     if not math.isfinite(args.c0):
         raise InputError(f"--c0 must be finite, got {args.c0}")
-    if args.max_order is not None and args.max_order < 0:
-        raise InputError(f"--max-order must be nonnegative, got {args.max_order}")
+    if args.max_order is not None and not 0 <= args.max_order <= _MAX_ORDER:
+        raise InputError(f"--max-order must be in [0, {_MAX_ORDER}], got {args.max_order}")
     if args.n_col is not None:
         # herglotz.fit_boundary's floor; the default order is at least 10
         floor = 32 if args.max_order is None else min(32, 4 * (2 * args.max_order + 1))
         if args.n_col < floor:
             raise InputError(f"--n-col must be at least {floor}, got {args.n_col}")
-    if args.mode.strip().lower() != "auto":
-        try:
-            linalg.parse_mode(args.mode)
-        except ValueError as exc:
-            raise InputError(f"--mode: {exc}") from exc
+    try:
+        herglotz._fit_mode(args.mode)
+    except ValueError as exc:
+        raise InputError(f"--mode: {exc}") from exc
     for name in ("m", "samples_interior", "samples_fit", "n_waves"):
         value = getattr(args, name, 1)
         if value < 1:
             raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+    if getattr(args, "m", 1) > _MAX_ORDER:
+        raise InputError(f"--m must be at most {_MAX_ORDER}, got {args.m}")
 
 
 def _load_domain_arg(args):
@@ -484,13 +488,13 @@ def _load_targets_arg(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="positivity",
         description="Construct and certify positive entire Helmholtz solutions "
                     "on planar boundaries and compact sets.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, domain_required=True):
+    def common(sp):
         sp.add_argument("--domain", help="domain JSON path")
         sp.add_argument("--k", type=float, default=1.0, help="wavenumber (> 0)")
         sp.add_argument("--c0", type=float, default=1.0, help="boundary constant")
@@ -555,14 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except geometry.GeometryError as exc:
+    except (InputError, geometry.GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except dirichlet.GateError as exc:

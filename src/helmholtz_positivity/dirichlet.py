@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, linalg, specfun
+from scipy import special  # after .linalg: loading scipy.linalg first imports faster
 
 __all__ = [
     "GateError",
     "NearEigenvalueError",
-    "DegenerateEqualityError",
     "StrongPositivityError",
     "SpectralGate",
     "DirichletProblem",
@@ -48,10 +48,6 @@ class GateError(RuntimeError):
     def __init__(self, message, gate=None):
         super().__init__(message)
         self.gate = gate
-
-
-class DegenerateEqualityError(RuntimeError):
-    """Domain area sits exactly at the gate threshold (k^2 may equal lambda_1)."""
 
 
 class NearEigenvalueError(RuntimeError):
@@ -112,6 +108,10 @@ class DiskSolution:
     k: float
     c0: float
     boundary_residual: float = 0.0
+
+    @property
+    def domain(self) -> geometry.Disk:
+        return geometry.Disk(center=self.center, radius=self.radius)
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
 def disk_solution(d: geometry.Disk, k: float, c0: float,
                   eigen_tol: float = 1e-8) -> DiskSolution:
     """Exact disk solution; rejects kR within eigen_tol of a zero of J0."""
-    denom = specfun.bessel_j(0, k * d.radius)
+    denom = special.jv(0, k * d.radius)
     if abs(denom) <= eigen_tol:
         raise NearEigenvalueError(
             f"J0(kR) = {denom:.3e}: k^2 is (numerically) a Dirichlet eigenvalue")
@@ -277,18 +277,14 @@ def evaluate_interior_with_diagnostic(solution, pts):
     imaginary part of the charge sum is a solver diagnostic.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    if isinstance(solution, DiskSolution):
-        dom = geometry.Disk(center=solution.center, radius=solution.radius)
-    else:
-        dom = solution.domain
-    codes = geometry.locate_points(dom, pts)
+    codes = geometry.locate_points(solution.domain, pts)
     if np.any(codes != geometry.INSIDE):
         bad = int(np.argmax(codes != geometry.INSIDE))
         raise ValueError(f"point {pts[bad]} is not strictly inside the domain")
     if isinstance(solution, DiskSolution):
         r = np.hypot(pts[:, 0] - solution.center[0], pts[:, 1] - solution.center[1])
-        vals = solution.c0 * specfun.bessel_j(0, solution.k * r) \
-            / specfun.bessel_j(0, solution.k * solution.radius)
+        vals = solution.c0 * special.jv(0, solution.k * r) \
+            / special.jv(0, solution.k * solution.radius)
         return np.asarray(vals, dtype=float), 0.0
     field_vals = _phi_matrix(solution.k, pts, solution.charge_points) @ solution.charges
     return field_vals.real, float(np.max(np.abs(field_vals.imag)))
@@ -380,9 +376,7 @@ def check_strong_positivity(solution, gate: SpectralGate,
         raise GateError("strong positivity check requires a passing gate", gate=gate)
     if solution.c0 < 0.0:
         raise ValueError("strong positivity check requires c0 >= 0")
-    dom = solution.domain if not isinstance(solution, DiskSolution) else \
-        geometry.Disk(center=solution.center, radius=solution.radius)
-    pts = halton_interior(dom, n_interior_samples, seed=seed)
+    pts = halton_interior(solution.domain, n_interior_samples, seed=seed)
     vals = evaluate_interior(solution, pts)
     i_min = int(np.argmin(vals))
     scan = PositivityScan(min_value=float(vals[i_min]),
@@ -414,4 +408,4 @@ def mean_value_check(evaluate, center, radius: float, k: float,
     circle = c + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     avg = complex(np.mean(np.asarray(evaluate(circle), dtype=complex)))
     u0 = complex(np.asarray(evaluate(c.reshape(1, 2)), dtype=complex)[0])
-    return abs(avg - u0 * specfun.bessel_j(0, k * radius))
+    return abs(avg - u0 * special.jv(0, k * radius))

@@ -17,7 +17,8 @@ J_0..J_M recurrence table (specfun.bessel_j_table) and the powers of
 e^{i theta}. Fits to boundary or interior targets are regularized least
 squares in this real basis, with validation residuals reported on samplings
 disjoint from the collocation; the automatic mode picks its truncation
-threshold from a ladder of filters applied to a single SVD.
+threshold from a ladder of filters applied to a single SVD. Waves are stored
+as coefficients (wave_to_json); densities are derived (to_density), not stored.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ __all__ = [
     "wave_from_json",
     "save_wave",
     "load_wave",
-    "density_to_json",
-    "density_from_json",
 ]
 
 
@@ -81,10 +80,6 @@ class HerglotzDensity:
         th = np.asarray(theta, dtype=float)
         m = np.arange(-self.M, self.M + 1)
         return np.exp(1j * np.multiply.outer(th, m)) @ self.coeffs
-
-    def l2_norm(self) -> float:
-        """L2 norm on the circle: sqrt(2 pi sum |c_m|^2)."""
-        return math.sqrt(2.0 * math.pi * float(np.sum(np.abs(self.coeffs) ** 2)))
 
     def l1_bound(self) -> float:
         """Cauchy-Schwarz bound for the circle L1 norm: 2 pi sqrt(sum |c_m|^2)."""
@@ -182,16 +177,12 @@ def eval_series(wave: FourierBesselWave, pts) -> np.ndarray:
     return _basis_matrix(pts - wave.center, wave.k, wave.M) @ _coef_vector(wave)
 
 
-def default_quadrature_size(k: float, rmax: float, M: int) -> int:
-    return max(64, int(math.ceil(8.0 * (k * rmax + M))))
-
-
 def eval_quadrature(density: HerglotzDensity, pts, n_quad: int | None = None) -> np.ndarray:
     """Trapezoid quadrature of the circle integral at each point."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     rmax = float(np.max(np.hypot(pts[:, 0], pts[:, 1]))) if len(pts) else 0.0
     if n_quad is None:
-        n_quad = default_quadrature_size(density.k, rmax, density.M)
+        n_quad = max(64, int(math.ceil(8.0 * (density.k * rmax + density.M))))
     theta = 2.0 * math.pi * np.arange(n_quad) / n_quad
     zhat = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     fvals = density.eval(theta)
@@ -296,6 +287,21 @@ def _auto_tsvd_solve(A: np.ndarray, b: np.ndarray, scale: float):
     return sols[i], ("tsvd", AUTO_TSVD_LADDER[i])
 
 
+def _fit_mode(mode):
+    """None for "auto", else linalg.parse_mode(mode) (ValueError if unknown)."""
+    if isinstance(mode, str) and mode.strip().lower() == "auto":
+        return None
+    return linalg.parse_mode(mode)
+
+
+def _fit_solve(A: np.ndarray, b: np.ndarray, mode, scale: float):
+    """Solve one fit system in `mode`; returns (solution, report label)."""
+    if _fit_mode(mode) is None:
+        sol, used = _auto_tsvd_solve(A, b, scale)
+        return sol, f"auto({linalg.mode_label(used)})"
+    return linalg.lstsq(A, b, mode=mode), linalg.mode_label(mode)
+
+
 def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
                  n_col: int | None = None, mode="auto",
                  override_gate: bool = False,
@@ -331,17 +337,12 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     col = geometry.sample_boundary(domain, n_col)
     A = _basis_matrix(col.points - center, k, M)
     b = np.full(n_col, float(target_c0))
-    if isinstance(mode, str) and mode.strip().lower() == "auto":
-        sol, used_mode = _auto_tsvd_solve(A, b, scale=max(abs(target_c0), 1e-300))
-        used_mode_label = f"auto({linalg.mode_label(used_mode)})"
-    else:
-        sol, used_mode = linalg.lstsq(A, b, mode=mode), mode
-        used_mode_label = linalg.mode_label(mode)
+    sol, mode_text = _fit_solve(A, b, mode, max(abs(target_c0), 1e-300))
     wave = _wave_from_coef(sol.coefficients, k, center)
 
     val = geometry.sample_boundary(domain, 4 * n_col, offset=0.5)
     misfit = eval_series(wave, val.points) - float(target_c0)
-    report = _validation_report(wave, misfit, used_mode_label, n_col)
+    report = _validation_report(wave, misfit, mode_text, n_col)
     if report.residual_max > fail_threshold * abs(target_c0):
         raise FitFailedError(
             f"boundary fit failed: residual_max {report.residual_max:.3e} "
@@ -379,12 +380,7 @@ def fit_interior(points, values, k: float, M: int | None = None, mode="qr",
             f"{len(fitidx)} fit targets cannot determine {2 * M + 1} coefficients")
     A = _basis_matrix(pts[fitidx] - center, k, M)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
-    if isinstance(mode, str) and mode.strip().lower() == "auto":
-        sol, used = _auto_tsvd_solve(A, vals[fitidx], scale=scale)
-        mode_text = f"auto({linalg.mode_label(used)})"
-    else:
-        sol = linalg.lstsq(A, vals[fitidx], mode=mode)
-        mode_text = linalg.mode_label(mode)
+    sol, mode_text = _fit_solve(A, vals[fitidx], mode, scale)
     wave = _wave_from_coef(sol.coefficients, k, center)
 
     check = hold if len(hold) else fitidx
@@ -505,22 +501,3 @@ def save_wave(wave: FourierBesselWave, path) -> None:
 def load_wave(path) -> FourierBesselWave:
     with open(path, "r", encoding="utf-8") as fh:
         return wave_from_json(json.load(fh))
-
-
-def density_to_json(density: HerglotzDensity) -> dict:
-    return {
-        "k": density.k,
-        "M": density.M,
-        "c_re": density.coeffs.real.tolist(),
-        "c_im": density.coeffs.imag.tolist(),
-    }
-
-
-def density_from_json(obj: dict) -> HerglotzDensity:
-    if set(obj) != {"k", "M", "c_re", "c_im"}:
-        raise ValueError("density JSON must have exactly the keys k, M, c_re, c_im")
-    coeffs = np.asarray(obj["c_re"], dtype=float) + 1j * np.asarray(obj["c_im"], dtype=float)
-    density = HerglotzDensity(k=float(obj["k"]), coeffs=coeffs)
-    if density.M != int(obj["M"]):
-        raise ValueError("density JSON M does not match coefficient count")
-    return density

@@ -1,10 +1,11 @@
 """Dense least squares for the wave fits: pivoted QR, truncated SVD, Tikhonov.
 
-Real and complex systems go through the same kernels in their own dtype
+`lstsq` is the one solver every fit calls; `tsvd_ladder` returns the
+truncated-SVD solutions for several thresholds from a single SVD. Real
+and complex systems go through the same kernels in their own dtype
 (complex ones with conjugate transposes), so the effective rank of a
 complex system is its complex rank. The reported residual is always
-recomputed on the system as given. `tsvd_ladder` returns the truncated-SVD
-solutions for several thresholds from a single SVD.
+recomputed on the system as given.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ __all__ = [
     "LeastSquaresSolution",
     "parse_mode",
     "mode_label",
-    "qr_pivot",
-    "svd",
     "lstsq",
     "tsvd_ladder",
 ]
@@ -68,14 +67,7 @@ def mode_label(mode) -> str:
     return f"{kind}:{param:g}"
 
 
-def qr_pivot(A: np.ndarray):
-    """Householder QR with column pivoting: A[:, perm] = Q @ R."""
-    Q, R, perm = scipy.linalg.qr(np.asarray(A, dtype=float), mode="economic",
-                                 pivoting=True)
-    return Q, R, perm
-
-
-def svd(A: np.ndarray):
+def _svd(A: np.ndarray):
     """Thin SVD (U, s, V) with s nonincreasing and A = U @ diag(s) @ V^H."""
     A = np.asarray(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
@@ -108,7 +100,7 @@ def tsvd_ladder(A, b, thresholds) -> list:
     Entry i equals lstsq(A, b, mode=("tsvd", thresholds[i])).
     """
     A, b = _system(A, b)
-    U, s, V = svd(A)
+    U, s, V = _svd(A)
     Ub = U.conj().T @ b
     out = []
     for t in thresholds:
@@ -140,7 +132,7 @@ def lstsq(A, b, mode="qr") -> LeastSquaresSolution:
         x = np.zeros(ncols, dtype=A.dtype)
         x[perm[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], z[:rank])
     else:  # tikhonov
-        U, s, V = svd(A)
+        U, s, V = _svd(A)
         cutoff = param
         floor = max(A.shape) * np.finfo(float).eps * s[0]
         keep = s > floor

@@ -1,13 +1,11 @@
-"""Bessel-family special functions and the planar outgoing fundamental solution.
+"""The three Bessel-family kernels of the planar pipelines.
 
-Integer orders serve the planar pipelines; half-integer orders cover the
-radial three-dimensional cross-checks. Single function values come from
-scipy.special; positive zeros are located here by a bracketing scan
-refined by bisection and a Newton polish. The two kernels the
-pipelines evaluate in bulk live here too: the table J_0..J_M behind every
-Fourier-Bessel basis (one backward recurrence for all orders), and the
-fundamental solution (i/4) H_0^(1) behind every charge matrix (from j0
-and y0, which are much cheaper than the general-order Hankel function).
+The positive zeros j_{nu,m} of J_nu are located by a bracketing scan refined
+by bisection and a Newton polish; half-integer orders are accepted because
+j_{1/2,m} = m pi is the closed-form oracle for it. The table J_0..J_M
+behind every Fourier-Bessel basis comes from one backward recurrence, and
+the fundamental solution (i/4) H_0^(1) behind every charge matrix from j0
+and y0. Single Bessel values are scipy.special's, called where needed.
 """
 
 from __future__ import annotations
@@ -19,80 +17,14 @@ import numpy as np
 from scipy import special
 
 __all__ = [
-    "bessel_j",
-    "bessel_jp",
-    "bessel_y",
-    "bessel_yp",
-    "hankel1",
     "bessel_zero",
     "bessel_j_table",
     "fundamental_solution",
 ]
 
-# Orders with 2*nu above this are outside the supported contract.
+# Orders with 2*nu above this are outside the supported contract: the zero
+# finder is tested against scipy.special.jn_zeros up to order 60.
 MAX_TWICE_ORDER = 120
-
-
-def _as_order(order) -> float:
-    """Validate an order: nonnegative multiple of 1/2, 2*nu <= 120."""
-    nu = float(order)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"order must be finite and nonnegative, got {order!r}")
-    twice = 2.0 * nu
-    if abs(twice - round(twice)) > 1e-12:
-        raise ValueError(f"order must be a multiple of 1/2, got {order!r}")
-    if round(twice) > MAX_TWICE_ORDER:
-        raise ValueError(f"order {order!r} exceeds the supported range (2*nu <= {MAX_TWICE_ORDER})")
-    return nu
-
-
-def _match(x, out):
-    """Return a scalar when the input argument was scalar."""
-    if np.ndim(x) == 0:
-        return out[()] if isinstance(out, np.ndarray) else out
-    return out
-
-
-def bessel_j(order, x):
-    """J_nu(x) for x >= 0."""
-    nu = _as_order(order)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0.0):
-        raise ValueError("bessel_j requires x >= 0")
-    return _match(x, special.jv(nu, xa))
-
-
-def bessel_jp(order, x):
-    """First derivative J_nu'(x)."""
-    nu = _as_order(order)
-    return _match(x, special.jvp(nu, np.asarray(x, dtype=float)))
-
-
-def bessel_y(order, x):
-    """Y_nu(x) for x > 0 (logarithmic/power singularity at 0)."""
-    nu = _as_order(order)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("bessel_y requires x > 0")
-    return _match(x, special.yv(nu, xa))
-
-
-def bessel_yp(order, x):
-    """First derivative Y_nu'(x) for x > 0."""
-    nu = _as_order(order)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("bessel_yp requires x > 0")
-    return _match(x, special.yvp(nu, xa))
-
-
-def hankel1(order, x):
-    """H^(1)_nu(x) = J_nu(x) + i Y_nu(x) for x > 0."""
-    nu = _as_order(order)
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
-        raise ValueError("hankel1 requires x > 0")
-    return _match(x, special.hankel1(nu, xa))
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,12 +76,22 @@ def _zeros_cached(twice_nu: int, count: int) -> tuple:
 
 
 def bessel_zero(order, m: int) -> float:
-    """m-th positive zero j_{nu,m} of J_nu (m >= 1), strictly increasing in m."""
-    nu = _as_order(order)
+    """m-th positive zero j_{nu,m} of J_nu (m >= 1), strictly increasing in m.
+
+    The order must be a nonnegative multiple of 1/2 with 2*nu <= 120.
+    """
+    nu = float(order)
+    if not math.isfinite(nu) or nu < 0.0:
+        raise ValueError(f"order must be finite and nonnegative, got {order!r}")
+    twice = 2.0 * nu
+    if abs(twice - round(twice)) > 1e-12:
+        raise ValueError(f"order must be a multiple of 1/2, got {order!r}")
+    if round(twice) > MAX_TWICE_ORDER:
+        raise ValueError(f"order {order!r} exceeds the supported range (2*nu <= {MAX_TWICE_ORDER})")
     m = int(m)
     if m < 1:
         raise ValueError("zero index m must be >= 1")
-    return _zeros_cached(int(round(2.0 * nu)), m)[m - 1]
+    return _zeros_cached(int(round(twice)), m)[m - 1]
 
 
 #: Miller's recurrence rescales its columns once their size may pass this.

@@ -1,7 +1,9 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
+from scipy import special
 
 from helmholtz_positivity import cli, specfun as sf
 
@@ -49,8 +51,8 @@ def test_positive_boundary_disk(files):
     assert rep["gate"]["passes"] is True
     assert all(c["passed"] for c in rep["checks"])
     w = load(wave)
-    assert w["a0"] == pytest.approx(1.0 / sf.bessel_j(0, 1.0), abs=1e-10)
-    header, first = open(csv).read().splitlines()[:2]
+    assert w["a0"] == pytest.approx(1.0 / special.jv(0, 1.0), abs=1e-10)
+    header, first = Path(csv).read_text().splitlines()[:2]
     assert header == "x,y,value"
     assert len(first.split(",")) == 3
 
@@ -93,12 +95,37 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-set", "--samples-interior", "0"],
     ["positive-set", "--samples-fit", "0"],
     ["counterexample", "--n-waves", "0"],
+    # usage errors that argparse reports
+    ["positive-boundary", "--k", "abc"],
+    ["positive-boundary", "--bogus"],
+    # the Fourier-Bessel order cap, far above it
+    ["positive-boundary", "--max-order", "100000"],
+    ["positive-set", "--max-order", "100000"],
+    ["counterexample", "--m", "100000"],
+    ["counterexample", "--r-scale", "1e300"],
+    ["positive-boundary", "--k", "1e6", "--override-gate"],
+    ["positive-boundary", "--k", "1e4", "--override-gate", "--max-order", "20"],
+    ["scan-k", "--k-max", "1e6", "--k-min", "1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit4(files, capsys, argv):
     assert run(argv + ["--domain", files["square.json"]]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
     assert argv[1] in err[0]
+
+
+def test_missing_required_flag_exit4(files, capsys):
+    assert run(["scan-k", "--domain", files["square.json"], "--k-max", "3"]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert "--k-min" in err[0]
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["positive-boundary", "--help"])
+    assert exc.value.code == 0
+    assert "--max-order" in capsys.readouterr().out
 
 
 def test_one_boundary_sample_does_not_certify(files):
@@ -131,7 +158,7 @@ def test_positive_set_center_of_disk(files):
     assert code == 0
     rep = load(out)
     assert rep["certificate"]["min_sample"] == pytest.approx(
-        1.0 / sf.bessel_j(0, 1.0), abs=1e-6)
+        1.0 / special.jv(0, 1.0), abs=1e-6)
 
 
 def test_positive_set_target_outside_exit4(files):
@@ -196,13 +223,16 @@ def test_scan_k_csv(files):
                 "--k-max", "3.0", "--steps", "4", "--samples", "512",
                 "--csv", csv, "--out", out])
     assert code == 0
-    lines = open(csv).read().splitlines()
+    lines = Path(csv).read_text().splitlines()
     assert lines[0] == "k,gate_pass,residual_max,certified_margin"
     assert len(lines) == 5
     for line in lines[1:]:
         k, gate, resid, margin = line.split(",")
         assert float(k) > 0
         assert gate in ("0", "1")
+    rep = load(out)
+    assert [row[0] for row in rep["rows"]] == [float(line.split(",")[0]) for line in lines[1:]]
+    assert rep["wall_time_s"] > 0.0
 
 
 def test_scan_k_empty_range_exit4(files):
@@ -219,7 +249,7 @@ def test_scan_k_residual_spike_at_disk_eigenvalue(files):
                 "--k-min", f"{j01 - 0.2}", "--k-max", f"{j01 + 0.2}",
                 "--steps", "5", "--samples", "512", "--csv", csv])
     assert code == 0
-    rows = [line.split(",") for line in open(csv).read().splitlines()[1:]]
+    rows = [line.split(",") for line in Path(csv).read_text().splitlines()[1:]]
     residuals = [float(r[2]) for r in rows]
     assert residuals[2] >= 0.5            # on the eigenvalue
     assert residuals[0] < 0.05 and residuals[-1] < 0.05
@@ -246,13 +276,12 @@ def test_selftest_passes(files, capsys):
 
 def test_selftest_detects_fault_injection(files, capsys, monkeypatch):
     # a corrupted Bessel evaluation must trip the Wronskian identity
-    from helmholtz_positivity import specfun
-    real = specfun.bessel_j
+    real = special.jv
 
     def corrupted(order, x):
         return real(order, x) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(specfun, "bessel_j", corrupted)
+    monkeypatch.setattr(special, "jv", corrupted)
     checks = dict((name, (res, tol))
                   for name, res, tol in cli._selftest_checks(seed=1))
     res, tol = checks["wronskian"]
