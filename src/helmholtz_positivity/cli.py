@@ -56,13 +56,16 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 def _jsonable(obj):
-    """Reports hold dicts, lists, tuples and Python or numpy scalars."""
+    """Reports hold dicts, lists, tuples and Python or numpy scalars; a
+    non-finite float becomes None (JSON null), as strict JSON has no NaN."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     return obj
 
 
@@ -82,7 +85,7 @@ def _gate_dict(gate: dirichlet.SpectralGate) -> dict:
         "k": gate.k,
         "area_d": gate.area_d,
         "r_star": gate.r_star,
-        "area_threshold": math.pi * gate.r_star ** 2,
+        "area_threshold": gate.area_threshold,
         "lambda1_lower_bound": gate.lambda1_lower_bound,
         "passes": gate.passes,
     }
@@ -202,12 +205,11 @@ def cmd_positive_set(args) -> int:
 
     gate = dirichlet.faber_krahn_gate(domain, k)
     report["gate"] = _gate_dict(gate)
-    threshold = math.pi * gate.r_star ** 2
     if not gate.passes:
         report["error"] = "gate failed: domain area exceeds the threshold"
         _finish(report, t0, args)
         return EXIT_GATE
-    if gate.area_d >= threshold * (1.0 - 1e-12):
+    if gate.area_d >= gate.area_threshold * (1.0 - 1e-12):
         report["error"] = ("degenerate equality case: the area sits at the gate "
                            "threshold, so k^2 may equal the first eigenvalue; this "
                            "pipeline requires strict inequality")
@@ -427,7 +429,8 @@ def _finish(report: dict, t0: float, args) -> None:
     report["wall_time_s"] = time.perf_counter() - t0
     if args.out:
         Path(args.out).write_text(
-            json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n",
+            json.dumps(_jsonable(report), indent=2, sort_keys=True,
+                       allow_nan=False) + "\n",
             encoding="utf-8")
 
 
@@ -450,6 +453,8 @@ def _check_args(args) -> None:
         raise InputError(f"--k must be finite and positive, got {args.k}")
     if not math.isfinite(args.c0):
         raise InputError(f"--c0 must be finite, got {args.c0}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     if args.max_order is not None and not 0 <= args.max_order <= _MAX_ORDER:
         raise InputError(f"--max-order must be in [0, {_MAX_ORDER}], got {args.max_order}")
     if args.n_col is not None:

@@ -76,6 +76,7 @@ class SpectralGate:
     k: float
     area_d: float
     r_star: float
+    area_threshold: float  # pi r_star^2, the largest area that passes
     lambda1_lower_bound: float
     passes: bool
 
@@ -132,9 +133,11 @@ def faber_krahn_gate(domain, k: float) -> SpectralGate:
     r_star = j01 / k
     rho = math.sqrt(area_d / math.pi)  # radius of the equal-area disk
     lam_lb = (j01 / rho) ** 2
+    with np.errstate(over="ignore"):  # inf once r_star^2 overflows (k -> 0)
+        threshold = float(math.pi * r_star ** 2)
     return SpectralGate(k=float(k), area_d=area_d, r_star=r_star,
-                        lambda1_lower_bound=lam_lb,
-                        passes=bool(area_d <= math.pi * r_star ** 2))
+                        area_threshold=threshold, lambda1_lower_bound=lam_lb,
+                        passes=bool(area_d <= threshold))
 
 
 def _mfs_collocation(domain, n_col: int) -> np.ndarray:
@@ -146,11 +149,10 @@ def _mfs_collocation(domain, n_col: int) -> np.ndarray:
     least-squares weight should follow.
     """
     base = geometry.sample_boundary(domain, n_col)
-    pieces = geometry.boundary_pieces(domain)
-    if len(pieces) < 2:
+    joint_s = geometry.joint_arclengths(domain)
+    if len(joint_s) < 2:
         return base.points
     P = geometry.perimeter(domain)
-    joint_s = np.concatenate([[0.0], np.cumsum([p.length for p in pieces])])[:-1]
 
     def near(s_vals, window):
         d = np.abs((s_vals[:, None] - joint_s[None, :] + 0.5 * P) % P - 0.5 * P)
@@ -178,10 +180,9 @@ def _charge_points(domain, n_src: int, dist: float) -> np.ndarray:
     bs = geometry.sample_boundary(domain, n_src, offset=0.5)
     pts = [bs.points + dist * bs.normals]
     offs = [np.full(n_src, dist)]
-    pieces = geometry.boundary_pieces(domain)
-    if len(pieces) >= 2:
+    joints = geometry.joint_arclengths(domain)
+    if len(joints) >= 2:
         P = geometry.perimeter(domain)
-        joints = np.concatenate([[0.0], np.cumsum([p.length for p in pieces])])[:-1]
         levels = 0.04 * P * 0.5 ** np.arange(1, 9)
         s_extra = (joints[:, None, None]
                    + np.array([-1.0, 1.0])[None, :, None] * levels[None, None, :])
@@ -229,7 +230,7 @@ def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
     if not gate.passes and not override_gate:
         raise GateError(
             f"area {gate.area_d:.6g} exceeds the gate threshold "
-            f"{math.pi * gate.r_star ** 2:.6g}; pass override_gate=True to force "
+            f"{gate.area_threshold:.6g}; pass override_gate=True to force "
             "a residual-checked solve", gate=gate)
     if n_col is None:
         n_col = 2 * n_src

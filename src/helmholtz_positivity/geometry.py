@@ -2,11 +2,14 @@
 
 Three shapes are supported: simple polygons (counterclockwise, no holes),
 disks, and tubular neighborhoods of simple polylines. Every boundary is
-represented internally as an ordered list of exact pieces (segments and
-circular arcs, counterclockwise with the interior on the left), which
-gives exact perimeters and areas (Green's theorem), arclength-uniform
-boundary sampling with outward normals, and three-valued containment with
-a configurable boundary tolerance.
+represented internally as one table of exact pieces (segments and circular
+arcs, counterclockwise with the interior on the left), held as arrays with
+one row per piece: endpoints or centre, radius, sweep angles, length and
+the arclength where each piece starts. Polygons and disks build the table
+on each call; a tube builds it once. The table gives exact perimeters and
+areas (Green's theorem), arclength-uniform boundary sampling with outward
+normals by one `searchsorted`, and the joint arclengths; containment is
+three-valued with a configurable boundary tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "diameter",
     "sample_boundary",
     "boundary_points_at",
+    "joint_arclengths",
     "boundary_distance",
     "locate",
     "locate_points",
@@ -77,56 +81,49 @@ class TubeOverlapError(GeometryError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class _Seg:
-    a: np.ndarray
-    b: np.ndarray
+class _Pieces:
+    """Boundary pieces in traversal order, one row per piece.
 
-    @property
-    def length(self) -> float:
-        return float(np.hypot(*(self.b - self.a)))
+    A segment (radius 0) runs from `a` to `b`. An arc has its centre in
+    both `a` and `b` and sweeps counterclockwise from angle `t0` to `t1`.
+    Piece i starts at arclength starts[i]; starts[-1] is the perimeter.
+    """
 
-    def point_at(self, s):
-        t = np.asarray(s, dtype=float) / self.length
-        return self.a + np.multiply.outer(t, self.b - self.a)
-
-    def normal_at(self, s):
-        d = (self.b - self.a) / self.length
-        n = np.array([d[1], -d[0]])  # right of travel = outward for CCW
-        s = np.asarray(s, dtype=float)
-        return np.broadcast_to(n, s.shape + (2,)).copy()
-
-    def green_area(self) -> float:
-        return 0.5 * (self.a[0] * self.b[1] - self.b[0] * self.a[1])
+    a: np.ndarray       # (p, 2)
+    b: np.ndarray       # (p, 2)
+    radius: np.ndarray  # (p,)
+    t0: np.ndarray      # (p,)
+    t1: np.ndarray      # (p,)
+    length: np.ndarray  # (p,)
+    starts: np.ndarray  # (p + 1,)
 
 
-@dataclass(frozen=True, eq=False)
-class _Arc:
-    center: np.ndarray
-    radius: float
-    t0: float
-    t1: float  # t1 > t0, counterclockwise sweep
+def _piece_table(a, b, radius, t0, t1) -> _Pieces:
+    d = b - a
+    length = np.where(radius > 0.0, radius * (t1 - t0), np.hypot(d[:, 0], d[:, 1]))
+    # a cumsum adds in order, so starts[-1] is the sequential sum of lengths
+    starts = np.concatenate([[0.0], np.cumsum(length)])
+    return _Pieces(a=a, b=b, radius=radius, t0=t0, t1=t1, length=length, starts=starts)
 
-    @property
-    def length(self) -> float:
-        return self.radius * (self.t1 - self.t0)
 
-    def point_at(self, s):
-        ang = self.t0 + np.asarray(s, dtype=float) / self.radius
-        return self.center + self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-    def normal_at(self, s):
-        ang = self.t0 + np.asarray(s, dtype=float) / self.radius
-        return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-
-    def green_area(self) -> float:
-        dt = self.t1 - self.t0
-        cx, cy = self.center
-        r = self.radius
-        return 0.5 * (
-            r * r * dt
-            + cx * r * (math.sin(self.t1) - math.sin(self.t0))
-            - cy * r * (math.cos(self.t1) - math.cos(self.t0))
-        )
+def _piece_points(pc: _Pieces, idx: np.ndarray, local: np.ndarray):
+    """Points and outward unit normals at arclength `local` into pieces `idx`."""
+    pts = np.empty((len(idx), 2))
+    nrm = np.empty((len(idx), 2))
+    arc = pc.radius[idx] > 0.0
+    i, s = idx[~arc], local[~arc]
+    d = pc.b[i] - pc.a[i]
+    L = pc.length[i]
+    pts[~arc] = pc.a[i] + (s / L)[:, None] * d
+    u = d / L[:, None]
+    nrm[~arc] = np.stack([u[:, 1], -u[:, 0]], axis=1)  # right of travel = outward for CCW
+    i, s = idx[arc], local[arc]
+    r = pc.radius[i]
+    ang = pc.t0[i] + s / r
+    unit = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    pts[arc] = pc.a[i] + r[:, None] * unit
+    nrm[arc] = unit
+    return pts, nrm
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +147,7 @@ class Tube:
 
     spine: np.ndarray  # (m, 2), m >= 2
     epsilon: float
-    pieces: tuple  # precomputed boundary pieces
+    pieces: _Pieces  # boundary piece table, built once
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,16 +184,6 @@ def _signed_area(verts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _orient(p, q, r) -> float:
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _on_segment(p, q, r) -> bool:
-    """r collinear with p-q: does r lie on the closed segment?"""
-    return (min(p[0], q[0]) - 1e-15 <= r[0] <= max(p[0], q[0]) + 1e-15 and
-            min(p[1], q[1]) - 1e-15 <= r[1] <= max(p[1], q[1]) + 1e-15)
-
-
 def polygon(vertices) -> Polygon:
     """Validated simple polygon; orientation is normalized to counterclockwise."""
     verts = np.asarray(vertices, dtype=float)
@@ -217,34 +204,49 @@ def polygon(vertices) -> Polygon:
     return Polygon(vertices=verts)
 
 
+#: Edges per row block of the pairwise simplicity test (memory ~ block * n).
+_SIMPLE_BLOCK = 256
+
+
+def _orient(p, q, r):
+    """Orientation of r against the line p -> q, over the last axis."""
+    return ((q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1])
+            - (q[..., 1] - p[..., 1]) * (r[..., 0] - p[..., 0]))
+
+
+def _in_box(p, q, r):
+    """Does r lie in the box spanned by p and q, padded by 1e-15?"""
+    lo, hi = np.minimum(p, q) - 1e-15, np.maximum(p, q) + 1e-15
+    return np.all((lo <= r) & (r <= hi), axis=-1)
+
+
 def _require_simple(verts: np.ndarray, closed: bool) -> None:
-    n = len(verts)
-    m = n if closed else n - 1
-    segs = [(verts[i], verts[(i + 1) % n]) for i in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            adjacent = (j == i + 1) or (closed and i == 0 and j == m - 1)
-            if adjacent:
-                continue
-            if _proper_or_touching_intersect(*segs[i], *segs[j]):
-                raise GeometryError(
-                    f"self-intersection between edges {i} and {j}; shape must be simple"
-                )
+    """Raise unless no two non-adjacent edges cross or touch.
 
-
-def _proper_or_touching_intersect(p1, p2, p3, p4) -> bool:
-    d1 = _orient(p3, p4, p1)
-    d2 = _orient(p3, p4, p2)
-    d3 = _orient(p1, p2, p3)
-    d4 = _orient(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and \
-            d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-        return True
-    for d, (a, b, c) in ((d1, (p3, p4, p1)), (d2, (p3, p4, p2)),
-                         (d3, (p1, p2, p3)), (d4, (p1, p2, p4))):
-        if d == 0 and _on_segment(a, b, c):
-            return True
-    return False
+    Edges i < j are a hit when they cross properly (all four orientations
+    nonzero, each edge's ends on opposite sides of the other), or when an
+    end of one is exactly collinear with the other (orientation 0) and
+    inside its 1e-15-padded box. The error names the first hit in (i, j)
+    order.
+    """
+    m = len(verts) if closed else len(verts) - 1
+    p, q = verts[:m], np.roll(verts, -1, axis=0)[:m]
+    for start in range(0, m, _SIMPLE_BLOCK):
+        i = np.arange(start, min(start + _SIMPLE_BLOCK, m))[:, None]
+        j = np.arange(start + 1, m)[None, :]
+        p1, p2, p3, p4 = p[i], q[i], p[j], q[j]
+        d1, d2 = _orient(p3, p4, p1), _orient(p3, p4, p2)
+        d3, d4 = _orient(p1, p2, p3), _orient(p1, p2, p4)
+        proper = (((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+                  & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
+        touch = (((d1 == 0) & _in_box(p3, p4, p1)) | ((d2 == 0) & _in_box(p3, p4, p2))
+                 | ((d3 == 0) & _in_box(p1, p2, p3)) | ((d4 == 0) & _in_box(p1, p2, p4)))
+        apart = (j > i + 1) & ~(closed & (i == 0) & (j == m - 1))
+        hit = apart & (proper | touch)
+        if np.any(hit):
+            r, c = np.unravel_index(np.argmax(hit), hit.shape)
+            raise GeometryError(f"self-intersection between edges {i[r, 0]} and "
+                                f"{j[0, c]}; shape must be simple")
 
 
 def _dedupe_points(pts: np.ndarray) -> np.ndarray:
@@ -298,7 +300,7 @@ def _ccw_span(a0: float, a1: float) -> tuple[float, float]:
     return a0, a1
 
 
-def _tube_pieces(V: np.ndarray, eps: float) -> tuple:
+def _tube_pieces(V: np.ndarray, eps: float) -> _Pieces:
     nseg = len(V) - 1
     d = np.diff(V, axis=0)
     seg_len = np.hypot(d[:, 0], d[:, 1])
@@ -310,7 +312,7 @@ def _tube_pieces(V: np.ndarray, eps: float) -> tuple:
     def side_pieces(normals, forward: bool):
         starts = [V[i] + eps * normals[i] for i in range(nseg)]
         ends = [V[i + 1] + eps * normals[i] for i in range(nseg)]
-        joins = [None] * (nseg - 1)  # arc or None at interior vertex j+1
+        joins = [None] * (nseg - 1)  # arc row or None at interior vertex j+1
         for j in range(nseg - 1):
             c = cross[j]
             outer = (c > 0.0) if normals is right else (c < 0.0)
@@ -322,7 +324,7 @@ def _tube_pieces(V: np.ndarray, eps: float) -> tuple:
                 if not forward:
                     a0, a1 = a1, a0
                 t0, t1 = _ccw_span(a0, a1)
-                joins[j] = _Arc(center=V[j + 1].copy(), radius=eps, t0=t0, t1=t1)
+                joins[j] = (V[j + 1], V[j + 1], eps, t0, t1)
             else:
                 P, t, s = _line_intersection(V[j] + eps * normals[j], d[j],
                                              V[j + 1] + eps * normals[j + 1], d[j + 1])
@@ -335,28 +337,21 @@ def _tube_pieces(V: np.ndarray, eps: float) -> tuple:
                 ends[j] = P
                 starts[j + 1] = P
         out = []
-        order = range(nseg) if forward else range(nseg - 1, -1, -1)
-        for i in order:
+        for i in range(nseg):
             a, b = (starts[i], ends[i]) if forward else (ends[i], starts[i])
             if np.hypot(*(b - a)) > 1e-14 * max(1.0, eps):
-                out.append(_Seg(a=np.asarray(a), b=np.asarray(b)))
-            # join index: backward traversal meets the joint between
-            # segments i-1 and i after walking segment i
-            j = i if forward else i - 1
-            if 0 <= j < nseg - 1 and joins[j] is not None:
-                out.append(joins[j])
-        return out
+                out.append((a, b, 0.0, 0.0, 0.0))
+            if i < nseg - 1 and joins[i] is not None:
+                out.append(joins[i])
+        return out if forward else out[::-1]  # walked backward: the same rows reversed
 
-    pieces: list = []
-    pieces.extend(side_pieces(right, forward=True))
+    rows = side_pieces(right, forward=True)
     a_end = math.atan2(right[-1][1], right[-1][0])
-    t0, t1 = _ccw_span(a_end, a_end + math.pi)
-    pieces.append(_Arc(center=V[-1].copy(), radius=eps, t0=t0, t1=t1))
-    pieces.extend(side_pieces(left, forward=False))
+    rows.append((V[-1], V[-1], eps, *_ccw_span(a_end, a_end + math.pi)))
+    rows.extend(side_pieces(left, forward=False))
     a_start = math.atan2(left[0][1], left[0][0])
-    t0, t1 = _ccw_span(a_start, a_start + math.pi)
-    pieces.append(_Arc(center=V[0].copy(), radius=eps, t0=t0, t1=t1))
-    return tuple(pieces)
+    rows.append((V[0], V[0], eps, *_ccw_span(a_start, a_start + math.pi)))
+    return _piece_table(*(np.array(col, dtype=float) for col in zip(*rows)))
 
 
 def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -372,13 +367,11 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     return np.min(dist, axis=1)
 
 
-def _validate_tube_pieces(pieces, spine, eps) -> None:
-    samples = []
-    for p in pieces:
-        n = max(8, int(math.ceil(p.length / (0.1 * eps))))
-        s = (np.arange(n) + 0.5) * (p.length / n)
-        samples.append(p.point_at(s))
-    allpts = np.concatenate(samples, axis=0)
+def _validate_tube_pieces(pc: _Pieces, spine, eps) -> None:
+    n = np.maximum(8, np.ceil(pc.length / (0.1 * eps)).astype(int))
+    idx = np.repeat(np.arange(len(n)), n)
+    j = np.arange(len(idx)) - np.repeat(np.cumsum(n) - n, n)  # index within piece
+    allpts, _ = _piece_points(pc, idx, (j + 0.5) * (pc.length / n)[idx])
     dev = np.abs(_dist_to_polyline(allpts, spine) - eps)
     if float(np.max(dev)) > 1e-9 * max(1.0, eps):
         raise TubeOverlapError(
@@ -416,15 +409,24 @@ def densify_polyline(vertices, max_spacing: float) -> np.ndarray:
 # measures
 # ---------------------------------------------------------------------------
 
-def boundary_pieces(domain) -> tuple:
-    if isinstance(domain, Disk):
-        return (_Arc(center=domain.center, radius=domain.radius, t0=0.0, t1=2.0 * math.pi),)
+def _pieces(domain) -> _Pieces:
     if isinstance(domain, Polygon):
         v = domain.vertices
-        return tuple(_Seg(a=v[i], b=v[(i + 1) % len(v)]) for i in range(len(v)))
+        zero = np.zeros(len(v))
+        return _piece_table(v, np.roll(v, -1, axis=0), zero, zero, zero)
+    if isinstance(domain, Disk):
+        c = domain.center[None, :]
+        return _piece_table(c, c, np.array([domain.radius]), np.zeros(1),
+                            np.array([2.0 * math.pi]))
     if isinstance(domain, Tube):
         return domain.pieces
     raise GeometryError(f"not a domain: {domain!r}")
+
+
+def joint_arclengths(domain) -> np.ndarray:
+    """Arclengths where boundary pieces join: polygon vertices, tube
+    segment/arc joints, and the one start point of a disk."""
+    return _pieces(domain).starts[:-1]
 
 
 def area(domain) -> float:
@@ -435,12 +437,18 @@ def area(domain) -> float:
     if isinstance(domain, Polygon):
         return _signed_area(domain.vertices)
     if isinstance(domain, Tube):
-        return float(sum(p.green_area() for p in domain.pieces))
+        pc = domain.pieces
+        r, cx, cy = pc.radius, pc.a[:, 0], pc.a[:, 1]
+        seg = 0.5 * (pc.a[:, 0] * pc.b[:, 1] - pc.b[:, 0] * pc.a[:, 1])
+        arc = 0.5 * (r * r * (pc.t1 - pc.t0)
+                     + cx * r * (np.sin(pc.t1) - np.sin(pc.t0))
+                     - cy * r * (np.cos(pc.t1) - np.cos(pc.t0)))
+        return float(np.cumsum(np.where(r > 0.0, arc, seg))[-1])
     raise GeometryError(f"not a domain: {domain!r}")
 
 
 def perimeter(domain) -> float:
-    return float(sum(p.length for p in boundary_pieces(domain)))
+    return float(_pieces(domain).starts[-1])
 
 
 def centroid(domain) -> np.ndarray:
@@ -492,22 +500,13 @@ def diameter(domain) -> float:
 
 def boundary_points_at(domain, arclengths):
     """Boundary points and outward unit normals at given arclength positions."""
-    pieces = boundary_pieces(domain)
-    lengths = np.array([p.length for p in pieces])
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = cum[-1]
-    s = np.mod(np.asarray(arclengths, dtype=float), total)
-    idx = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, len(pieces) - 1)
-    pts = np.empty((len(s), 2))
-    nrm = np.empty((len(s), 2))
-    for i, piece in enumerate(pieces):
-        sel = idx == i
-        if not np.any(sel):
-            continue
-        local = s[sel] - cum[i]
-        pts[sel] = piece.point_at(local)
-        nrm[sel] = piece.normal_at(local)
-    return pts, nrm
+    return _points_at(_pieces(domain), arclengths)
+
+
+def _points_at(pc: _Pieces, arclengths):
+    s = np.mod(np.asarray(arclengths, dtype=float), pc.starts[-1])
+    idx = np.clip(np.searchsorted(pc.starts, s, side="right") - 1, 0, len(pc.length) - 1)
+    return _piece_points(pc, idx, s - pc.starts[idx])
 
 
 def sample_boundary(domain, n: int, offset: float = 0.0) -> BoundarySampling:
@@ -522,10 +521,10 @@ def sample_boundary(domain, n: int, offset: float = 0.0) -> BoundarySampling:
     n = int(n)
     if n < 1:
         raise GeometryError("need at least one boundary sample")
-    total = perimeter(domain)
-    step = total / n
+    pc = _pieces(domain)
+    step = float(pc.starts[-1]) / n
     s = (np.arange(n) + float(offset)) * step
-    pts, nrm = boundary_points_at(domain, s)
+    pts, nrm = _points_at(pc, s)
     gaps = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
     return BoundarySampling(points=pts, normals=nrm, arclengths=s,
                             gaps=gaps, max_gap=float(step))
@@ -563,21 +562,6 @@ def _crossing_inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
         xin = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
     hit = cond & (x < xin)
     return (np.count_nonzero(hit, axis=1) % 2) == 1
-
-
-def _winding_inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Winding-number containment (cross-check for the ray caster)."""
-    x1 = verts[None, :, 0]
-    y1 = verts[None, :, 1]
-    x2 = np.roll(verts, -1, axis=0)[None, :, 0]
-    y2 = np.roll(verts, -1, axis=0)[None, :, 1]
-    x = pts[:, 0:1]
-    y = pts[:, 1:2]
-    is_left = (x2 - x1) * (y - y1) - (x - x1) * (y2 - y1)
-    up = (y1 <= y) & (y2 > y) & (is_left > 0)
-    down = (y1 > y) & (y2 <= y) & (is_left < 0)
-    wn = np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
-    return wn != 0
 
 
 def locate_points(domain, points, tol: float = BOUNDARY_TOL) -> np.ndarray:
@@ -645,20 +629,17 @@ def shrink(domain, delta: float):
 
 
 def _offset_polygon_inward(verts: np.ndarray, delta: float) -> np.ndarray:
-    n = len(verts)
+    """Vertex i of the inset is where the offsets of edges i-1 and i meet."""
     d = np.roll(verts, -1, axis=0) - verts
     L = np.hypot(d[:, 0], d[:, 1])
     d = d / L[:, None]
-    inward = np.stack([-d[:, 1], d[:, 0]], axis=1)  # left of travel for CCW
-    out = np.empty_like(verts)
-    for i in range(n):
-        ip = (i - 1) % n
-        p, t, _ = _line_intersection(verts[ip] + delta * inward[ip], d[ip],
-                                     verts[i] + delta * inward[i], d[i])
-        if p is None:  # collinear neighbor edges
-            p = verts[i] + delta * inward[i]
-        out[i] = p
-    return out
+    q = verts + delta * np.stack([-d[:, 1], d[:, 0]], axis=1)  # left of travel for CCW
+    p, dp = np.roll(q, 1, axis=0), np.roll(d, 1, axis=0)  # offset edge i-1
+    denom = dp[:, 0] * d[:, 1] - dp[:, 1] * d[:, 0]
+    rhs = q - p
+    with np.errstate(all="ignore"):  # rows with collinear neighbour edges keep q
+        t = (rhs[:, 0] * d[:, 1] - rhs[:, 1] * d[:, 0]) / denom
+        return np.where((np.abs(denom) < 1e-300)[:, None], q, p + t[:, None] * dp)
 
 
 def _validate_shrink(original: Polygon, inner: Polygon, delta: float) -> None:

@@ -26,6 +26,8 @@ def files(tmp_path):
     dump("targets.json", {"points": [[-1, 0], [-0.5, 0], [0, 0],
                                      [0.5, 0], [1, 0]]})
     dump("far_targets.json", {"points": [[0, 0], [5, 0]]})
+    dump("L2.json", {"type": "polygon",
+                     "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
     paths["tmp"] = tmp_path
     return paths
 
@@ -37,6 +39,16 @@ def run(args):
 def load(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def load_strict(path):
+    """Parse a report as strict JSON: NaN and Infinity are errors."""
+    with open(path) as fh:
+        return json.load(fh, parse_constant=_no_constant)
 
 
 def test_positive_boundary_disk(files):
@@ -106,6 +118,11 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-boundary", "--k", "1e6", "--override-gate"],
     ["positive-boundary", "--k", "1e4", "--override-gate", "--max-order", "20"],
     ["scan-k", "--k-max", "1e6", "--k-min", "1"],
+    # a negative seed is no numpy seed
+    ["positive-boundary", "--seed", "-1"],
+    ["positive-set", "--seed", "-1"],
+    ["counterexample", "--seed", "-1"],
+    ["selftest", "--seed", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit4(files, capsys, argv):
     assert run(argv + ["--domain", files["square.json"]]) == 4
@@ -233,6 +250,32 @@ def test_scan_k_csv(files):
     rep = load(out)
     assert [row[0] for row in rep["rows"]] == [float(line.split(",")[0]) for line in lines[1:]]
     assert rep["wall_time_s"] > 0.0
+
+
+def test_tiny_k_report_is_strict_json(files, capsys):
+    # pi (j01/k)^2 overflows: the threshold is written as null, with no warning
+    out = str(files["tmp"] / "tiny.json")
+    code = run(["positive-boundary", "--domain", files["square.json"],
+                "--k", "1e-200", "--out", out])
+    assert code == 0
+    rep = load_strict(out)
+    assert rep["gate"]["area_threshold"] is None
+    assert rep["gate"]["passes"] is True
+    assert capsys.readouterr().err == ""
+
+
+def test_scan_k_report_is_strict_json(files):
+    # the L's fits fail above k = 0.5, so those rows have no margin
+    out = str(files["tmp"] / "scanL.json")
+    csv = str(files["tmp"] / "scanL.csv")
+    code = run(["scan-k", "--domain", files["L2.json"], "--k-min", "0.5",
+                "--k-max", "3", "--steps", "6", "--out", out, "--csv", csv])
+    assert code == 0
+    rows = load_strict(out)["rows"]
+    assert len(rows) == 6
+    assert sum(v is None for row in rows for v in row) == 5
+    assert all(math.isfinite(v) for row in rows for v in row if v is not None)
+    assert Path(csv).read_text().count(",nan") == 5  # CSV keeps nan
 
 
 def test_scan_k_empty_range_exit4(files):

@@ -36,6 +36,85 @@ def test_disk_validation():
         g.disk([np.inf, 0], 1.0)
 
 
+# --- simplicity: the broadcast test against the pairwise reference -------------
+
+def _orient_ref(p, q, r):
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def _on_segment_ref(p, q, r):
+    return (min(p[0], q[0]) - 1e-15 <= r[0] <= max(p[0], q[0]) + 1e-15 and
+            min(p[1], q[1]) - 1e-15 <= r[1] <= max(p[1], q[1]) + 1e-15)
+
+
+def _proper_or_touching_intersect(p1, p2, p3, p4):
+    d1 = _orient_ref(p3, p4, p1)
+    d2 = _orient_ref(p3, p4, p2)
+    d3 = _orient_ref(p1, p2, p3)
+    d4 = _orient_ref(p1, p2, p4)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and \
+            d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
+        return True
+    for d, (a, b, c) in ((d1, (p3, p4, p1)), (d2, (p3, p4, p2)),
+                         (d3, (p1, p2, p3)), (d4, (p1, p2, p4))):
+        if d == 0 and _on_segment_ref(a, b, c):
+            return True
+    return False
+
+
+def _reference_require_simple(verts, closed):
+    """The pairwise loop that the broadcast test replaced."""
+    n = len(verts)
+    m = n if closed else n - 1
+    segs = [(verts[i], verts[(i + 1) % n]) for i in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            if (j == i + 1) or (closed and i == 0 and j == m - 1):
+                continue
+            if _proper_or_touching_intersect(*segs[i], *segs[j]):
+                raise g.GeometryError(
+                    f"self-intersection between edges {i} and {j}; shape must be simple")
+
+
+def _simplicity_verdict(check, verts, closed):
+    try:
+        check(verts, closed)
+    except g.GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def test_require_simple_matches_pairwise_reference():
+    # vertices on a coarse grid give many collinear and touching edge pairs
+    rng = np.random.default_rng(2024)
+    rejected = 0
+    for trial in range(3200):
+        closed = bool(trial % 2)
+        n = int(rng.integers(3 if closed else 2, 10))
+        verts = rng.integers(0, 5, size=(n, 2)) * 0.5
+        new = _simplicity_verdict(g._require_simple, verts, closed)
+        assert new == _simplicity_verdict(_reference_require_simple, verts, closed)
+        rejected += new is not None
+    assert 1000 < rejected < 3000  # both outcomes are well covered
+
+
+def _ellipse(n):
+    t = 2.0 * math.pi * np.arange(n) / n
+    return np.stack([np.cos(t), 0.5 * np.sin(t)], axis=1)
+
+
+def test_polygon_accepts_1000_vertex_ellipse():
+    poly = g.polygon(_ellipse(1000))
+    assert g.area(poly) == pytest.approx(math.pi * 0.5, rel=1e-4)
+
+
+def test_polygon_rejects_1000_vertex_ellipse_with_vertex_across():
+    verts = _ellipse(1000)
+    verts[0] = [-1.2, 0.0]  # pushed across the far side of the ellipse
+    with pytest.raises(g.GeometryError, match="self-intersection"):
+        g.polygon(verts)
+
+
 # --- area / perimeter / centroid ----------------------------------------------
 
 def test_areas():
@@ -121,6 +200,45 @@ def test_outward_normals():
     assert np.all(g.locate_points(g.polygon(UNIT_SQUARE), outside) == g.OUTSIDE)
 
 
+BENT = [[-1, 0], [0, 0.1], [1, 0]]
+ZIG = [[-1, 0], [-0.3, 0.3], [0.3, -0.3], [1, 0]]
+
+
+@pytest.mark.parametrize("verts", [UNIT_SQUARE, L_SHAPE])
+def test_polygon_joints_are_the_vertices_in_order(verts):
+    poly = g.polygon(verts)
+    pts, _ = g.boundary_points_at(poly, g.joint_arclengths(poly))
+    assert np.allclose(pts, poly.vertices, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("spine", [BENT, ZIG])
+def test_tube_joints_lie_at_distance_epsilon(spine):
+    tube = g.tube_of(spine, 0.15)
+    joints = g.joint_arclengths(tube)
+    assert len(joints) >= 4 and joints[0] == 0.0
+    assert np.all(np.diff(joints) > 0.0)
+    pts, _ = g.boundary_points_at(tube, joints)
+    assert np.max(g.boundary_distance(tube, pts)) <= 1e-12
+
+
+def test_disk_has_one_joint():
+    assert g.joint_arclengths(g.disk([1.0, -2.0], 0.5)).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("domain", [
+    g.disk([0.3, -1.0], 0.7),
+    g.polygon(UNIT_SQUARE),
+    g.polygon(L_SHAPE),
+    g.tube_of(BENT, 0.15),
+    g.tube_of(ZIG, 0.15),
+])
+def test_normals_have_unit_length(domain):
+    s = np.concatenate([np.linspace(0.0, g.perimeter(domain), 997),
+                        g.joint_arclengths(domain)])
+    _, nrm = g.boundary_points_at(domain, s)
+    assert np.allclose(np.hypot(nrm[:, 0], nrm[:, 1]), 1.0, rtol=0.0, atol=1e-12)
+
+
 # --- containment ---------------------------------------------------------------
 
 def test_contains_trivia():
@@ -142,6 +260,21 @@ def test_boundary_tolerance_three_valued():
     assert g.locate(sq, [0.5, 1e-7], tol=1e-6) == "boundary"
 
 
+def _winding_inside(verts, pts):
+    """Winding-number containment, the cross-check for the ray caster."""
+    x1 = verts[None, :, 0]
+    y1 = verts[None, :, 1]
+    x2 = np.roll(verts, -1, axis=0)[None, :, 0]
+    y2 = np.roll(verts, -1, axis=0)[None, :, 1]
+    x = pts[:, 0:1]
+    y = pts[:, 1:2]
+    is_left = (x2 - x1) * (y - y1) - (x - x1) * (y2 - y1)
+    up = (y1 <= y) & (y2 > y) & (is_left > 0)
+    down = (y1 > y) & (y2 <= y) & (is_left < 0)
+    wn = np.count_nonzero(up, axis=1) - np.count_nonzero(down, axis=1)
+    return wn != 0
+
+
 @pytest.mark.parametrize("verts", [
     UNIT_SQUARE,
     L_SHAPE,
@@ -155,7 +288,7 @@ def test_ray_casting_agrees_with_winding_number(verts):
     pts = rng.uniform(lo, hi, size=(1000, 2))
     near = g.boundary_distance(poly, pts) < 1e-9
     crossing = g._crossing_inside(poly.vertices, pts)
-    winding = g._winding_inside(poly.vertices, pts)
+    winding = _winding_inside(poly.vertices, pts)
     assert np.all(crossing[~near] == winding[~near])
 
 
