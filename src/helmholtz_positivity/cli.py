@@ -39,6 +39,9 @@ EXIT_INPUT = 4
 #: its square), for --max-order and for the order k and the domain ask for.
 _MAX_ORDER = 200
 
+#: Highest sample, collocation, step or wave count a flag may ask for.
+_MAX_COUNT = 100_000
+
 
 class InputError(ValueError):
     pass
@@ -95,29 +98,13 @@ def _gate_dict(gate: dirichlet.SpectralGate) -> dict:
 # seeded diagnostic checks
 # ---------------------------------------------------------------------------
 
-def _interior_circle_pairs(domain, n_pairs: int, seed: int):
-    """Seeded (center, radius) pairs with the closed circle inside the domain."""
-    rng = np.random.default_rng(seed)
-    bpts = geometry.sample_boundary(domain, 256).points
-    lo, hi = bpts.min(axis=0), bpts.max(axis=0)
-    pairs = []
-    while len(pairs) < n_pairs:
-        c = rng.uniform(lo, hi)
-        if not geometry.contains(domain, c):
-            continue
-        room = float(geometry.boundary_distance(domain, c.reshape(1, 2))[0])
-        if room <= 1e-6:
-            continue
-        pairs.append((c, rng.uniform(0.2, 0.8) * room))
-    return pairs
-
-
 def _check_mean_value(wave, domain, k: float, seed: int) -> dict:
     evaluate = lambda p: herglotz.eval_series(wave, p)
     scale = float(np.max(np.abs(evaluate(geometry.sample_boundary(domain, 512).points))))
-    worst = 0.0
-    for center, radius in _interior_circle_pairs(domain, 10, seed):
-        worst = max(worst, dirichlet.mean_value_check(evaluate, center, radius, k))
+    centers = dirichlet.halton_interior(domain, 10, seed=seed)
+    radii = (np.random.default_rng(seed).uniform(0.2, 0.8, 10)
+             * geometry.boundary_distance(domain, centers))
+    worst = dirichlet.mean_value_check(evaluate, centers, radii, k)
     tol = 1e-6 * max(scale, 1e-300)
     return {"name": "mean_value", "residual": worst, "tolerance": tol,
             "passed": bool(worst <= tol)}
@@ -239,8 +226,11 @@ def cmd_positive_set(args) -> int:
 
         fit_pts = dirichlet.halton_interior(inner, args.samples_fit, seed=args.seed)
         fit_vals = dirichlet.evaluate_interior(sol, fit_pts)
-        wave, fit = herglotz.fit_interior(fit_pts, fit_vals, k, M=args.max_order,
-                                          mode=args.mode)
+        try:
+            wave, fit = herglotz.fit_interior(fit_pts, fit_vals, k, M=args.max_order,
+                                              mode=args.mode)
+        except ValueError as exc:  # fewer fit points than coefficients
+            raise InputError(f"--samples-fit {args.samples_fit}: {exc}") from exc
     except (dirichlet.NearEigenvalueError, dirichlet.StrongPositivityError,
             herglotz.FitFailedError) as exc:
         report["error"] = str(exc)
@@ -308,8 +298,8 @@ def cmd_counterexample(args) -> int:
 def cmd_scan_k(args) -> int:
     t0 = time.perf_counter()
     domain = _load_domain_arg(args)
-    if not (0.0 < args.k_min < args.k_max) or args.steps < 2:
-        raise InputError("need 0 < k-min < k-max and at least 2 steps")
+    if not 0.0 < args.k_min < args.k_max:
+        raise InputError("need 0 < k-min < k-max")
     _fit_order(args, args.k_max, domain, "--k-max and the domain")
     rows = []
     for k in np.linspace(args.k_min, args.k_max, args.steps):
@@ -466,12 +456,15 @@ def _check_args(args) -> None:
         herglotz._fit_mode(args.mode)
     except ValueError as exc:
         raise InputError(f"--mode: {exc}") from exc
-    for name in ("m", "samples_interior", "samples_fit", "n_waves"):
-        value = getattr(args, name, 1)
-        if value < 1:
-            raise InputError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
-    if getattr(args, "m", 1) > _MAX_ORDER:
-        raise InputError(f"--m must be at most {_MAX_ORDER}, got {args.m}")
+    # (flag, least, most); a flag the command lacks, or an unset --n-col, passes
+    for name, least, most in (("m", 1, _MAX_ORDER), ("samples", 1, _MAX_COUNT),
+                              ("n_col", 1, _MAX_COUNT), ("samples_interior", 1, _MAX_COUNT),
+                              ("samples_fit", 1, _MAX_COUNT), ("n_waves", 1, _MAX_COUNT),
+                              ("steps", 2, _MAX_COUNT)):
+        value = getattr(args, name, None)
+        if value is not None and not least <= value <= most:
+            raise InputError(f"--{name.replace('_', '-')} must be in [{least}, {most}], "
+                             f"got {value}")
 
 
 def _load_domain_arg(args):

@@ -168,6 +168,10 @@ def _mfs_collocation(domain, n_col: int) -> np.ndarray:
     return pts
 
 
+#: Charge offset from the boundary, as a fraction of the domain's diameter.
+_DILATION = 0.15
+
+
 def _charge_points(domain, n_src: int, dist: float) -> np.ndarray:
     """Sources on the outward boundary offset, graded toward junctions.
 
@@ -195,15 +199,13 @@ def _charge_points(domain, n_src: int, dist: float) -> np.ndarray:
     alloffs = np.concatenate(offs)
     codes = geometry.locate_points(domain, allpts)
     if np.any(codes != geometry.OUTSIDE):
-        raise geometry.GeometryError(
-            "charge offset produced points not strictly outside the domain; "
-            "reduce the dilation"
-        )
+        raise NearEigenvalueError(
+            "charge offset produced points not strictly outside the domain: "
+            "the solve is ill-resolved")
     if np.any(geometry.boundary_distance(domain, allpts) < 0.2 * alloffs):
-        raise geometry.GeometryError(
-            "charge points crowd the boundary (reentrant geometry); "
-            "reduce the dilation"
-        )
+        raise NearEigenvalueError(
+            "charge points crowd the boundary (reentrant geometry): "
+            "the solve is ill-resolved")
     return allpts
 
 
@@ -213,17 +215,18 @@ def _phi_matrix(k: float, targets: np.ndarray, sources: np.ndarray) -> np.ndarra
 
 
 def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
-                        n_col: int | None = None, dilation: float = 0.15,
+                        n_col: int | None = None,
                         mode="tsvd:1e-12", residual_tol: float = 1e-6,
                         override_gate: bool = False) -> MFSSolution:
     """Charge-collocation solve of the constant-data Dirichlet problem.
 
     Charges sit on the outward offset of the boundary at distance
-    dilation * diam(D). The returned boundary_residual is the max misfit
+    _DILATION * diam(D). The returned boundary_residual is the max misfit
     on an independent validation sampling four times denser than the
     collocation; if it misses residual_tol * |c0| the solve is rejected as
     ill-resolved or near-eigenvalue (carrying the residual and the
-    truncated-SVD effective rank).
+    truncated-SVD effective rank). Charges that leave or crowd the
+    boundary (reentrant corners) are rejected the same way.
     """
     domain, k, c0 = problem.domain, float(problem.k), float(problem.c0)
     gate = faber_krahn_gate(domain, k)
@@ -236,10 +239,8 @@ def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
         n_col = 2 * n_src
     if not (n_col >= 2 * n_src >= 32):
         raise ValueError("need n_col >= 2*n_src >= 32")
-    if not (dilation > 0.0):
-        raise ValueError("dilation must be positive")
 
-    offset = dilation * geometry.diameter(domain)
+    offset = _DILATION * geometry.diameter(domain)
     sources = _charge_points(domain, n_src, offset)
     col = _mfs_collocation(domain, n_col)
     A = _phi_matrix(k, col, sources)
@@ -394,19 +395,24 @@ def check_strong_positivity(solution, gate: SpectralGate,
         scan=scan)
 
 
-def mean_value_check(evaluate, center, radius: float, k: float,
+def mean_value_check(evaluate, centers, radii, k: float,
                      n_quad: int = 256) -> float:
-    """|circle average of u - u(center) J0(k radius)|, trapezoid quadrature.
+    """Worst |circle average of u - u(center) J0(k radius)| over the circles.
 
-    `evaluate` maps an (n, 2) array to values. Zero for exact Helmholtz
+    `centers` is one (2,) centre or a (c, 2) stack and `radii` a scalar or
+    the (c,) radii to match; the averages are trapezoid sums. `evaluate`
+    maps an (n, 2) array to values and is called once, on every circle's
+    n_quad points followed by the centres. Zero for exact Helmholtz
     solutions up to (spectrally small) quadrature error; constants are not
     solutions for k > 0 and show a residual |c| |1 - J0(kr)|.
     """
-    c = np.asarray(center, dtype=float).reshape(2)
-    if not (radius > 0.0 and n_quad >= 4):
-        raise ValueError("need radius > 0 and n_quad >= 4")
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    r = np.asarray(radii, dtype=float).reshape(-1)
+    if not (len(r) == len(c) and np.all(r > 0.0) and n_quad >= 4):
+        raise ValueError("need one radius > 0 per centre and n_quad >= 4")
     theta = 2.0 * math.pi * np.arange(n_quad) / n_quad
-    circle = c + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    avg = complex(np.mean(np.asarray(evaluate(circle), dtype=complex)))
-    u0 = complex(np.asarray(evaluate(c.reshape(1, 2)), dtype=complex)[0])
-    return abs(avg - u0 * special.jv(0, k * radius))
+    unit = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    circles = c[:, None, :] + r[:, None, None] * unit
+    vals = np.asarray(evaluate(np.concatenate([circles.reshape(-1, 2), c])), dtype=complex)
+    avg = np.mean(vals[:-len(c)].reshape(len(c), n_quad), axis=1)
+    return float(np.max(np.abs(avg - vals[-len(c):] * special.jv(0, k * r))))

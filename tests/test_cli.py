@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from scipy import special
 
-from helmholtz_positivity import cli, specfun as sf
+from helmholtz_positivity import cli, geometry, herglotz, specfun as sf
 
 
 @pytest.fixture()
@@ -26,6 +26,7 @@ def files(tmp_path):
     dump("targets.json", {"points": [[-1, 0], [-0.5, 0], [0, 0],
                                      [0.5, 0], [1, 0]]})
     dump("far_targets.json", {"points": [[0, 0], [5, 0]]})
+    dump("square_targets.json", {"points": [[0, 0], [0.2, 0.1], [-0.15, -0.2]]})
     dump("L2.json", {"type": "polygon",
                      "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
     paths["tmp"] = tmp_path
@@ -123,12 +124,32 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-set", "--seed", "-1"],
     ["counterexample", "--seed", "-1"],
     ["selftest", "--seed", "-1"],
+    # fewer interior fit points than the fit has coefficients
+    ["positive-set", "--samples-fit", "1"],
+    ["positive-set", "--samples-fit", "25"],
+    ["positive-set", "--samples-fit", "100", "--max-order", "200"],
+    # the count cap, far above it
+    ["positive-boundary", "--samples", "1000000000000"],
+    ["positive-boundary", "--n-col", "1000000000000"],
+    ["positive-set", "--samples-interior", "1000000000000"],
+    ["positive-set", "--samples-fit", "1000000000000"],
+    ["scan-k", "--steps", "1000000000000", "--k-min", "0.5", "--k-max", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit4(files, capsys, argv):
-    assert run(argv + ["--domain", files["square.json"]]) == 4
+    # positive-set rows get targets inside the square, so only the flag is at fault
+    target = ["--target", files["square_targets.json"]] if argv[0] == "positive-set" else []
+    assert run(argv + ["--domain", files["square.json"]] + target) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
     assert argv[1] in err[0]
+
+
+def test_wave_count_cap():
+    # at the cap the panel would run 10^5 waves, so the flag is checked alone
+    args = cli.build_parser().parse_args(["counterexample", "--n-waves", "1000000000000"])
+    with pytest.raises(cli.InputError, match="--n-waves"):
+        cli._check_args(args)
+    cli._check_args(cli.build_parser().parse_args(["counterexample", "--n-waves", "100000"]))
 
 
 def test_missing_required_flag_exit4(files, capsys):
@@ -194,6 +215,37 @@ def test_positive_set_polygon_domain(files):
     rep = load(out)
     assert rep["certificate"]["certified"] is True
     assert rep["certificate"]["min_sample"] > 1.0
+
+
+def test_positive_set_reentrant_charge_placement_exit3(files, capsys):
+    # the MFS charges crowd the L's reentrant corner: a solve failure, not bad input
+    out = str(files["tmp"] / "L2_set.json")
+    targets = files["tmp"] / "L2_targets.json"
+    targets.write_text(json.dumps({"points": [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]}))
+    code = run(["positive-set", "--domain", files["L2.json"], "--target", str(targets),
+                "--k", "1", "--out", out])
+    assert code == 3
+    error = load(out)["error"]
+    assert "ill-resolved" in error and "dilation" not in error
+    assert "input error" not in capsys.readouterr().err
+
+
+def test_standard_checks_evaluate_each_check_once(files, monkeypatch):
+    # two scale evaluations, the mean-value circles, the FD stencil, the zero-ball scan
+    domain = geometry.load_domain(files["square.json"])
+    wave, _ = herglotz.fit_boundary(domain, 1.0, 1.0)
+    calls = []
+    real = herglotz.eval_series
+
+    def counted(w, pts):
+        calls.append(len(pts))
+        return real(w, pts)
+
+    monkeypatch.setattr(herglotz, "eval_series", counted)
+    checks = cli._standard_checks(wave, domain, 1.0, 42)
+    assert len(calls) <= 5
+    assert [c["name"] for c in checks] == ["mean_value", "pde_residual_fd", "zero_ball"]
+    assert all(c["passed"] for c in checks)
 
 
 def test_positive_set_equality_case_rejected(files):

@@ -193,6 +193,44 @@ def test_mean_value_detects_constants():
     assert res == pytest.approx(abs(c) * abs(1.0 - special.jv(0, k * r)), rel=1e-12)
 
 
+def test_mean_value_many_circles_match_single_circles():
+    # n_quad = 8 leaves a quadrature error well above rounding to compare
+    rng = np.random.default_rng(21)
+    wave = hg.random_wave(10, 1.0, rng)
+    calls = []
+
+    def evaluate(p):
+        calls.append(len(p))
+        return hg.eval_series(wave, p)
+
+    centers = rng.uniform(-2.0, 2.0, (6, 2))
+    radii = rng.uniform(0.3, 2.0, 6)
+    worst = dr.mean_value_check(evaluate, centers, radii, 1.0, n_quad=8)
+    assert calls == [6 * 8 + 6]
+    single = max(dr.mean_value_check(evaluate, c, r, 1.0, n_quad=8)
+                 for c, r in zip(centers, radii))
+    assert single > 1e-6
+    assert worst == pytest.approx(single, rel=1e-12)
+
+
+def test_mean_value_constant_over_several_radii():
+    c, k = -1.5, 1.0
+    radii = np.array([0.3, 0.7, 1.5, 2.2])
+    centers = np.random.default_rng(22).uniform(-1.0, 1.0, (len(radii), 2))
+    evaluate = lambda p: np.full(len(np.atleast_2d(p)), c)
+    res = dr.mean_value_check(evaluate, centers, radii, k)
+    expected = np.max(abs(c) * np.abs(1.0 - special.jv(0, k * radii)))
+    assert res == pytest.approx(expected, rel=1e-12)
+
+
+def test_mean_value_needs_one_positive_radius_per_centre():
+    evaluate = lambda p: np.ones(len(p))
+    with pytest.raises(ValueError):
+        dr.mean_value_check(evaluate, np.zeros((3, 2)), [0.5, 0.5], 1.0)
+    with pytest.raises(ValueError):
+        dr.mean_value_check(evaluate, np.zeros((2, 2)), [0.5, 0.0], 1.0)
+
+
 def test_mean_value_mfs_field():
     sol = dr.solve_dirichlet_mfs(dr.DirichletProblem(UNIT_DISK, 1.0, 1.0))
     evaluate = lambda p: dr.evaluate_interior(sol, p)

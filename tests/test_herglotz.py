@@ -257,6 +257,21 @@ def test_series_satisfies_helmholtz_fd():
     assert np.max(res) <= 1e-5 * k * k * umax
 
 
+def test_fd_residual_evaluates_once():
+    rng = np.random.default_rng(17)
+    w = hg.random_wave(10, 1.0, rng)
+    pts = rng.uniform(-3, 3, (20, 2))
+    calls = []
+
+    def evaluate(p):
+        calls.append(len(p))
+        return hg.eval_series(w, p)
+
+    res = hg.helmholtz_fd_residual(evaluate, pts, 1.0)
+    assert calls == [5 * len(pts)]
+    assert res.shape == (len(pts),)
+
+
 # --- zero-ball property -----------------------------------------------------------
 
 def test_zero_ball_small_sample():
