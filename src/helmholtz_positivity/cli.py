@@ -443,6 +443,9 @@ def _check_args(args) -> None:
         raise InputError(f"--k must be finite and positive, got {args.k}")
     if not math.isfinite(args.c0):
         raise InputError(f"--c0 must be finite, got {args.c0}")
+    if args.command == "positive-set" and args.c0 < 0.0:
+        # the strong-positivity dichotomy holds for c0 >= 0 only
+        raise InputError(f"--c0 must be non-negative for positive-set, got {args.c0}")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
     if args.max_order is not None and not 0 <= args.max_order <= _MAX_ORDER:

@@ -18,9 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from . import geometry, linalg, specfun
-from scipy import special  # after .linalg: loading scipy.linalg first imports faster
 
 __all__ = [
     "GateError",

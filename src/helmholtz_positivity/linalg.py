@@ -6,14 +6,21 @@ and complex systems go through the same kernels in their own dtype
 (complex ones with conjugate transposes), so the effective rank of a
 complex system is its complex rank. The reported residual is always
 recomputed on the system as given.
+
+Every factorisation runs on numpy's OpenBLAS. The pivoted QR is Businger and
+Golub's Householder QR with column pivoting (Numer. Math. 7, 1965) written
+in numpy, with the column-norm downdating of Drmac and Bujanovic (LAPACK
+Working Note 176, 2008) that LAPACK's xLAQP2 uses. scipy.linalg would bring
+a second OpenBLAS whose idle threads spin after each call and stall the
+next factorisation in the other library.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "LeastSquaresSolution",
@@ -74,6 +81,57 @@ def _svd(A: np.ndarray):
     return U, s, Vh.conj().T
 
 
+def _pivoted_qr(A, b):
+    """Householder QR with column pivoting, applied to b as it goes.
+
+    Returns (R, Q^H b, perm) with A[:, perm] = Q R, R upper trapezoidal of
+    shape (min(m, n), n) and Q^H b of length min(m, n); Q is never formed.
+    Each step takes the remaining column of largest norm (the first on a
+    tie) and reflects it onto alpha e_1, alpha = -(x_0/|x_0|) ||x||, so
+    |R_ii| = ||x||. The other column norms are downdated and recomputed
+    once a norm has lost all but sqrt(eps) of its reference value.
+    """
+    m, n = A.shape
+    # an exact power-of-two scale puts the largest entry in [0.5, 1): no norm
+    # overflows, and only columns far below the rank cutoff can underflow
+    scale = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(A)))[1]))
+    W = A.T.copy()          # row j of W is column j of A: swaps and norms are contiguous
+    W *= scale
+    z = b.copy()
+    perm = np.arange(n)
+    norms = np.linalg.norm(W, axis=1)
+    refs = norms.copy()
+    tol = math.sqrt(np.finfo(float).eps / 2)   # LAPACK's sqrt(dlamch('E'))
+    for i in range(min(m, n)):
+        p = i + int(np.argmax(norms[i:]))
+        if p != i:
+            W[[i, p]] = W[[p, i]]
+            perm[[i, p]] = perm[[p, i]]
+            norms[p], refs[p] = norms[i], refs[i]
+        x = W[i, i:]
+        size = float(np.linalg.norm(x))
+        if size == 0.0:
+            continue
+        x0 = x[0]
+        alpha = -(x0 / abs(x0) if x0 != 0 else 1.0) * size
+        v = x / (x0 - alpha)    # x - alpha e_1 scaled to v_0 = 1, so |v_j| <= 1
+        v[0] = 1.0
+        tau = 2.0 / float(np.vdot(v, v).real)
+        x[0], x[1:] = alpha, 0.0
+        T = W[i + 1:, i:]
+        T -= np.outer(tau * (T @ v.conj()), v)
+        z[i:] -= (tau * np.vdot(v, z[i:])) * v
+        live = np.flatnonzero(norms[i + 1:]) + i + 1
+        left = np.maximum(1.0 - (np.abs(W[live, i]) / norms[live]) ** 2, 0.0)
+        stale = left * (norms[live] / refs[live]) ** 2 <= tol
+        norms[live] *= np.sqrt(left)
+        redo = live[stale]
+        norms[redo] = np.linalg.norm(W[redo, i + 1:], axis=1)
+        refs[redo] = norms[redo]
+    k = min(m, n)
+    return np.triu(W[:, :k].T) / scale, z[:k], perm
+
+
 def _system(A, b):
     """Validate a least-squares system; cast both sides to a common dtype."""
     A = np.asarray(A)
@@ -124,13 +182,13 @@ def lstsq(A, b, mode="qr") -> LeastSquaresSolution:
         x = np.zeros(ncols, dtype=A.dtype)
         rank, cutoff = 0, 0.0
     elif kind == "qr":
-        Q, R, perm = scipy.linalg.qr(A, mode="economic", pivoting=True)
+        R, z, perm = _pivoted_qr(A, b)
         diag = np.abs(np.diag(R))
         cutoff = max(A.shape) * np.finfo(float).eps * diag[0]
         rank = int(np.count_nonzero(diag > cutoff))
-        z = Q.conj().T @ b
         x = np.zeros(ncols, dtype=A.dtype)
-        x[perm[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], z[:rank])
+        # R is triangular, so LU does not pivot: this is a back substitution
+        x[perm[:rank]] = np.linalg.solve(R[:rank, :rank], z[:rank])
     else:  # tikhonov
         U, s, V = _svd(A)
         cutoff = param

@@ -105,6 +105,7 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-boundary", "--n-col", "5"],
     ["counterexample", "--m", "0"],
     ["positive-boundary", "--c0", "nan"],
+    ["positive-set", "--c0", "-1"],
     ["positive-set", "--samples-interior", "0"],
     ["positive-set", "--samples-fit", "0"],
     ["counterexample", "--n-waves", "0"],

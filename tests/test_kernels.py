@@ -3,9 +3,10 @@
 Each kernel replaced a slower direct evaluation or a scipy routine; the
 references here are those forms: scipy.special.jv per order,
 scipy.special.hankel1, one linalg.lstsq call per threshold of the auto
-ladder, scipy.special.jn_zeros, and scipy.stats.qmc.Halton. The package
-itself must not import scipy.stats or scipy.optimize (they cost most of a
-cold CLI call), so the references are imported here only.
+ladder, LAPACK's pivoted QR through scipy.linalg.qr, scipy.special.jn_zeros,
+and scipy.stats.qmc.Halton. The package itself must not import
+scipy.stats or scipy.optimize (they cost most of a cold CLI call) nor
+scipy.linalg (a second BLAS), so the references are imported here only.
 """
 
 import os
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy import special
 from scipy.stats import qmc
 
@@ -106,6 +108,78 @@ def test_complex_lstsq_reports_complex_rank(mode):
     assert np.iscomplexobj(sol.coefficients)
 
 
+def _random(rng, shape, cplx):
+    A = rng.standard_normal(shape)
+    return A + 1j * rng.standard_normal(shape) if cplx else A
+
+
+def _zero_column(rng, cplx):
+    A = _random(rng, (25, 8), cplx)
+    A[:, 3] = 0.0
+    return A
+
+
+def _near_tie(rng, cplx):
+    # unit columns; column 5 is longer by 1e-9 relative and must be the first pivot
+    A = _random(rng, (40, 8), cplx)
+    A /= np.linalg.norm(A, axis=0)
+    A[:, 5] *= 1.0 + 1e-9
+    return A
+
+
+def _dependent(rng, cplx):
+    # column j is a mix of columns 0..j-1 plus 10^-e_j of a new direction;
+    # columns 7-11 keep 1e-12..1e-8 of their norm, in the reverse of their
+    # order, so only norms recomputed after the downdate order those pivots
+    A = _random(rng, (40, 12), cplx)
+    e = [0, 1, 2, 3, 4, 5, 6, 12, 11, 10, 9, 8]
+    for j in range(1, 12):
+        A[:, j] = A[:, :j] @ _random(rng, (j,), cplx) / j + 10.0 ** -e[j] * A[:, j]
+    return A
+
+
+def _underflowing(rng, cplx):
+    # columns 6-11 at 1e-160..1e-300 of the rest, like high Bessel orders on
+    # a small disk: their squares underflow, far below the rank cutoff
+    return _random(rng, (60, 12), cplx) * np.r_[np.ones(6), 10.0 ** -np.linspace(160, 300, 6)]
+
+
+QR_CASES = {
+    "tall": lambda rng, cplx: _random(rng, (60, 12), cplx),
+    "tiny": lambda rng, cplx: 1e-170 * _random(rng, (60, 12), cplx),  # every square underflows
+    "underflowing-columns": _underflowing,
+    "wide": lambda rng, cplx: _random(rng, (12, 40), cplx),
+    "rank3": lambda rng, cplx: _random(rng, (30, 3), cplx) @ _random(rng, (3, 10), cplx),
+    "zero-column": _zero_column,
+    "near-tie": _near_tie,
+    "dependent": _dependent,
+}
+
+
+@pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("case", list(QR_CASES))
+def test_pivoted_qr_matches_lapack(case, cplx):
+    rng = np.random.default_rng([0, cplx])
+    A = QR_CASES[case](rng, cplx)
+    b = _random(rng, (A.shape[0],), cplx)
+    R, qhb, perm = la._pivoted_qr(A, b)
+    Q, R_ref, perm_ref = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    qhb_ref = Q.conj().T @ b
+    d, d_ref = np.abs(np.diag(R)), np.abs(np.diag(R_ref))
+    rank = int(np.count_nonzero(d_ref > max(A.shape) * np.finfo(float).eps * d_ref[0]))
+    assert la.lstsq(A, b, mode="qr").effective_rank == rank
+    # past the rank the pivots follow rounding noise
+    n_same = len(perm) if rank == min(A.shape) else rank
+    assert np.array_equal(perm[:n_same], perm_ref[:n_same])
+    assert np.all(np.abs(d[:rank] - d_ref[:rank]) <= 1e-12 * d_ref[0])
+    # the reflectors differ from LAPACK's by a unit phase per pivot, taken
+    # from R's diagonal; pivot i fixes its entry of Q^H b only to about
+    # eps |R_00 / R_ii| relative, which is large on "dependent" alone
+    phase = np.diag(R)[:rank] / np.diag(R_ref)[:rank]
+    err = np.abs(qhb[:rank] - phase * qhb_ref[:rank])
+    assert np.all(err <= 1e-12 * np.linalg.norm(b) * d_ref[0] / d_ref[:rank])
+
+
 @pytest.mark.parametrize("nu", [0, 1, 2, 30, 60])
 def test_bessel_zeros_match_jn_zeros(nu):
     ref = special.jn_zeros(nu, 20)
@@ -151,6 +225,25 @@ def test_cli_imports_neither_scipy_stats_nor_optimize():
             "assert cli.main(['selftest']) == 0\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith(('scipy.stats', 'scipy.optimize'))))\n")
+    src = str(Path(helmholtz_positivity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_set_pipeline_runs_on_one_blas(tmp_path):
+    # scipy.linalg bundles a second OpenBLAS; the package factorises on numpy's
+    targets = tmp_path / "targets.json"
+    targets.write_text('{"points": [[-1, 0], [-0.5, 0], [0, 0], [0.5, 0], [1, 0]]}')
+    code = ("import sys\n"
+            "from helmholtz_positivity import cli\n"
+            f"argv = ['positive-set', '--target', {str(targets)!r}, '--epsilon', '0.2',\n"
+            f"        '--out', {str(tmp_path / 'report.json')!r}]\n"
+            "assert cli.main(argv) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
     src = str(Path(helmholtz_positivity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
