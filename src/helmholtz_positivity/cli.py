@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import certify, dirichlet, geometry, herglotz, specfun
 
@@ -326,6 +325,8 @@ def cmd_scan_k(args) -> int:
 
 def _selftest_checks(seed: int = 42):
     """(name, residual, tolerance) triples for the invariant suite."""
+    from scipy import special
+
     rng = np.random.default_rng(seed)
     checks = []
 

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import geometry, linalg, specfun
 
@@ -264,7 +263,7 @@ def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
 def disk_solution(d: geometry.Disk, k: float, c0: float,
                   eigen_tol: float = 1e-8) -> DiskSolution:
     """Exact disk solution; rejects kR within eigen_tol of a zero of J0."""
-    denom = special.jv(0, k * d.radius)
+    denom = specfun.bessel_j_table(0, [k * d.radius])[0, 0]
     if abs(denom) <= eigen_tol:
         raise NearEigenvalueError(
             f"J0(kR) = {denom:.3e}: k^2 is (numerically) a Dirichlet eigenvalue")
@@ -285,9 +284,8 @@ def evaluate_interior_with_diagnostic(solution, pts):
         raise ValueError(f"point {pts[bad]} is not strictly inside the domain")
     if isinstance(solution, DiskSolution):
         r = np.hypot(pts[:, 0] - solution.center[0], pts[:, 1] - solution.center[1])
-        vals = solution.c0 * special.jv(0, solution.k * r) \
-            / special.jv(0, solution.k * solution.radius)
-        return np.asarray(vals, dtype=float), 0.0
+        J0 = specfun.bessel_j_table(0, solution.k * np.append(r, solution.radius))[0]
+        return solution.c0 * J0[:-1] / J0[-1], 0.0
     field_vals = _phi_matrix(solution.k, pts, solution.charge_points) @ solution.charges
     return field_vals.real, float(np.max(np.abs(field_vals.imag)))
 
@@ -415,4 +413,4 @@ def mean_value_check(evaluate, centers, radii, k: float,
     circles = c[:, None, :] + r[:, None, None] * unit
     vals = np.asarray(evaluate(np.concatenate([circles.reshape(-1, 2), c])), dtype=complex)
     avg = np.mean(vals[:-len(c)].reshape(len(c), n_quad), axis=1)
-    return float(np.max(np.abs(avg - vals[-len(c):] * special.jv(0, k * r))))
+    return float(np.max(np.abs(avg - vals[-len(c):] * specfun.bessel_j_table(0, k * r)[0])))

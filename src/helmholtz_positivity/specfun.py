@@ -1,20 +1,22 @@
 """The three Bessel-family kernels of the planar pipelines.
 
-The positive zeros j_{nu,m} of J_nu are located by a bracketing scan refined
-by bisection and a Newton polish; half-integer orders are accepted because
-j_{1/2,m} = m pi is the closed-form oracle for it. The table J_0..J_M
-behind every Fourier-Bessel basis comes from one backward recurrence, and
-the fundamental solution (i/4) H_0^(1) behind every charge matrix from j0
-and y0. Single Bessel values are scipy.special's, called where needed.
+The table J_0..J_M behind every Fourier-Bessel basis comes from one
+backward recurrence, and every integer-order Bessel value the package needs
+is read from it. The positive zeros j_{nu,m} of J_nu are located by a
+bracketing scan refined by bisection and a Newton polish, on table values
+for integer orders; half-integer orders are accepted because
+j_{1/2,m} = m pi is the closed-form oracle for it, and only they reach
+scipy.special.jv. The fundamental solution (i/4) H_0^(1) behind every
+charge matrix comes from scipy.special's j0 and y0. scipy.special is
+imported only inside the half-integer branch and fundamental_solution, so
+the commands that need neither never load it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "bessel_zero",
@@ -26,59 +28,69 @@ __all__ = [
 # finder is tested against scipy.special.jn_zeros up to order 60.
 MAX_TWICE_ORDER = 120
 
+#: Twice the order -> its first 2^j - 1 zeros found so far, ascending. A
+#: miss extends them to 2^J - 1 >= m, so zeros 1..N cost O(log N) scans.
+_ZEROS: dict = {}
 
-@functools.lru_cache(maxsize=None)
-def _zeros_cached(twice_nu: int, count: int) -> tuple:
-    """First `count` positive zeros of J_nu, nu = twice_nu / 2.
 
-    Scans rightward from x = max(nu, 0.5), where J_nu is strictly positive
-    (the first zero exceeds the order), with step pi/4, well below the
-    minimal zero spacing. Each bracket is bisected until its midpoint is no
-    longer strictly inside it (adjacent doubles) and polished with two
-    Newton steps.
+def _j_and_derivative(twice_nu: int, x: np.ndarray):
+    """J_nu(x) and J_nu'(x) at x > 0, nu = twice_nu / 2."""
+    if twice_nu % 2:
+        from scipy import special
+        return special.jv(twice_nu / 2.0, x), special.jvp(twice_nu / 2.0, x)
+    n = twice_nu // 2
+    J = bessel_j_table(n + 1, x)
+    return J[n], (n / x) * J[n] - J[n + 1]  # DLMF 10.6.2
+
+
+def _scan_zeros(twice_nu: int, first: int, count: int) -> tuple:
+    """Zeros first + 1 .. count of J_nu, nu = twice_nu / 2, where first + 1
+    and count + 1 are powers of two.
+
+    Evaluates the grid x = max(nu, 0.5) + i pi/4, where J_nu is strictly
+    positive at i = 0 (the first zero exceeds the order) and the step is
+    well below the minimal zero spacing, in one call. The sign-change
+    brackets of zeros 2^b .. 2^(b+1) - 1 are bisected 8 times together,
+    leaving the midpoint within pi/4 / 512 < 1.6e-3 of the zero, and
+    polished with three Newton steps: at a zero J''/J' = -1/x (DLMF 10.2.1)
+    and x > 2.4, so the error falls below 5e-7, then 5e-14, and the last
+    step is rounding. A table value depends on the other arguments of its
+    call in the last bit, so these fixed blocks make every zero the same
+    whatever was asked before.
     """
     nu = twice_nu / 2.0
-    f = lambda t: special.jv(nu, t)
-    zeros = []
-    x = max(nu, 0.5)
-    fx = f(x)
+    x0 = max(nu, 0.5)
     step = 0.25 * math.pi
-    # Safety horizon: zeros of J_nu are spaced < pi beyond the first one.
-    limit = max(nu, 0.5) + (count + 3) * math.pi + 2.0 * max(nu, 1.0) ** (1.0 / 3.0) + 10.0
-    while len(zeros) < count:
-        x2 = x + step
-        if x2 > limit:
-            raise RuntimeError(f"zero scan for nu={nu} exceeded horizon; wanted {count} zeros")
-        f2 = f(x2)
-        if f2 == 0.0:
-            zeros.append(x2)
-        elif fx * f2 < 0.0:
-            # A fixed width test would never end where the doubles are
-            # spaced wider than it (1.4e-14 near x = 80).
-            a, b, fa = x, x2, fx
-            root = 0.5 * (a + b)
-            while a < root < b:
-                fm = f(root)
-                if fm == 0.0:
-                    break
-                if (fm < 0.0) == (fa < 0.0):
-                    a, fa = root, fm
-                else:
-                    b = root
-                root = 0.5 * (a + b)
-            for _ in range(2):
-                deriv = special.jvp(nu, root)
-                if deriv != 0.0:
-                    root -= special.jv(nu, root) / deriv
-            zeros.append(root)
-        x, fx = x2, f2
-    return tuple(zeros)
+    # Horizon: j_{nu,m} < (m + nu/2 - 1/4) pi for nu >= 1/2, its McMahon
+    # leading term (DLMF 10.21.19), which J_0's zeros exceed by < 0.05.
+    limit = (count + 0.5 * nu + 1.0) * math.pi
+    grid = x0 + step * np.arange(int((limit - x0) / step) + 1)
+    positive = _j_and_derivative(twice_nu, grid)[0] > 0.0
+    left = np.flatnonzero(positive[:-1] != positive[1:])
+    if len(left) < count:
+        raise RuntimeError(f"zero scan for nu={nu} exceeded horizon; wanted {count} zeros")
+    zeros = ()
+    while first < count:
+        i = left[first:2 * first + 1]
+        a, b = grid[i], grid[i + 1]
+        for _ in range(8):
+            mid = 0.5 * (a + b)
+            keep_a = (_j_and_derivative(twice_nu, mid)[0] > 0.0) != positive[i]
+            a, b = np.where(keep_a, a, mid), np.where(keep_a, mid, b)
+        root = 0.5 * (a + b)
+        for _ in range(3):
+            f, df = _j_and_derivative(twice_nu, root)
+            root -= f / df
+        zeros += tuple(root)
+        first = 2 * first + 1
+    return zeros
 
 
 def bessel_zero(order, m: int) -> float:
     """m-th positive zero j_{nu,m} of J_nu (m >= 1), strictly increasing in m.
 
-    The order must be a nonnegative multiple of 1/2 with 2*nu <= 120.
+    The order must be a nonnegative multiple of 1/2 with 2*nu <= 120. The
+    value is a numpy.float64.
     """
     nu = float(order)
     if not math.isfinite(nu) or nu < 0.0:
@@ -91,7 +103,11 @@ def bessel_zero(order, m: int) -> float:
     m = int(m)
     if m < 1:
         raise ValueError("zero index m must be >= 1")
-    return _zeros_cached(int(round(twice)), m)[m - 1]
+    twice = int(round(twice))
+    zeros = _ZEROS.get(twice, ())
+    if m > len(zeros):
+        zeros = _ZEROS[twice] = zeros + _scan_zeros(twice, len(zeros), 2 ** m.bit_length() - 1)
+    return zeros[m - 1]
 
 
 #: Miller's recurrence rescales its columns once their size may pass this.
@@ -174,6 +190,8 @@ def fundamental_solution(k: float, x):
     r = np.hypot(xa[..., 0], xa[..., 1])
     if np.any(r == 0.0):
         raise ValueError("fundamental_solution is singular at x = 0")
+    from scipy import special
+
     kr = k * r
     out = np.empty(kr.shape, dtype=complex)
     out.real = -0.25 * special.y0(kr)  # (i/4)(J0 + i Y0)

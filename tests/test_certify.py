@@ -83,6 +83,15 @@ def test_finite_set_margin_equals_min():
         float(np.min(hg.eval_series(wave, targets.points))))
 
 
+def test_rounding_term_enters_margin():
+    wave = hg.random_wave(12, 1.0, np.random.default_rng(9))
+    cert = cf.certify_positive(wave, g.sample_boundary(SQUARE, 256))
+    c1 = abs(wave.a0) + np.sum(np.abs(wave.cos_coeffs)) + np.sum(np.abs(wave.sin_coeffs))
+    assert cert.rounding == pytest.approx((9e-16 + 25 * np.finfo(float).eps) * c1, rel=1e-12)
+    assert cert.certified_margin == (cert.min_sample - cert.lipschitz_bound * cert.max_gap / 2.0
+                                     - cert.rounding)
+
+
 def test_set_on_zero_circle_not_certified():
     wave = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
     theta = np.linspace(0.0, 2.0 * math.pi, 17)[:-1]

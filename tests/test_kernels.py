@@ -7,6 +7,8 @@ ladder, LAPACK's pivoted QR through scipy.linalg.qr, scipy.special.jn_zeros,
 and scipy.stats.qmc.Halton. The package itself must not import
 scipy.stats or scipy.optimize (they cost most of a cold CLI call) nor
 scipy.linalg (a second BLAS), so the references are imported here only.
+Integer-order Bessel values come from the package's own table, so only
+positive-set and selftest load scipy.special.
 """
 
 import os
@@ -22,6 +24,7 @@ from scipy.stats import qmc
 
 import helmholtz_positivity
 
+from helmholtz_positivity import certify as cf
 from helmholtz_positivity import dirichlet as dr
 from helmholtz_positivity import geometry as g
 from helmholtz_positivity import herglotz as hg
@@ -251,3 +254,74 @@ def test_set_pipeline_runs_on_one_blas(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip().splitlines()[-1] == "[]"
+
+
+# (60, 64): near the first zeros of a large order the spacing exceeds pi
+@pytest.mark.parametrize("nu, count", [(0, 60), (1, 20), (5, 20), (30, 20), (60, 20), (60, 64)])
+def test_integer_bessel_zeros_within_two_ulp(monkeypatch, nu, count):
+    monkeypatch.setattr(sf, "_ZEROS", {})
+    ref = special.jn_zeros(nu, count)
+    got = np.array([sf.bessel_zero(nu, m) for m in range(1, count + 1)])
+    assert np.all(np.abs(got - ref) <= 2 * np.spacing(ref))
+    assert all(type(z) is np.float64 for z in got)
+
+
+def test_zero_loop_scans_logarithmically(monkeypatch):
+    monkeypatch.setattr(sf, "_ZEROS", {})
+    scans = []
+    scan = sf._scan_zeros
+    monkeypatch.setattr(sf, "_scan_zeros", lambda *a: scans.append(a) or scan(*a))
+    first = [sf.bessel_zero(0, m) for m in range(1, 61)]
+    assert len(scans) <= 8
+    # every zero is the same whatever was asked before it
+    monkeypatch.setattr(sf, "_ZEROS", {})
+    assert [sf.bessel_zero(0, m) for m in range(60, 0, -1)] == first[::-1]
+
+
+def test_disk_solution_matches_jv():
+    d = g.disk([0.3, -0.2], 1.0)
+    k, c0 = 3.5, 1.7  # J0 changes sign inside
+    pts = dr.halton_interior(d, 200, seed=1)
+    r = np.hypot(pts[:, 0] - 0.3, pts[:, 1] + 0.2)
+    ref = c0 * special.jv(0, k * r) / special.jv(0, k)
+    got = dr.evaluate_interior(dr.disk_solution(d, k, c0), pts)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("m", [1, 4])
+def test_sign_change_flux_matches_jv(m):
+    wave = hg.random_wave(8, 1.3, np.random.default_rng(m))
+    rep = cf.sign_change_on_circle(wave, m, n_samples=256)
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    pts = rep.circle_radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    ref = (-wave.k * special.jv(1, wave.k * rep.circle_radius) * rep.circle_radius
+           * (2.0 * np.pi / 256) * float(np.sum(hg.eval_series(wave, pts))))
+    assert abs(rep.flux_integral - ref) <= 1e-14 * abs(ref)
+
+
+def test_cli_loads_scipy_special_for_positive_set_only(tmp_path):
+    square = tmp_path / "square.json"
+    square.write_text('{"type": "polygon", "vertices": '
+                      '[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}')
+    targets = tmp_path / "targets.json"
+    targets.write_text('{"points": [[-1, 0], [-0.5, 0], [0, 0], [0.5, 0], [1, 0]]}')
+    out = str(tmp_path / "report.json")
+    code = ("import sys\n"
+            "from helmholtz_positivity import cli\n"
+            "assert 'scipy.special' not in sys.modules\n"
+            f"for argv in (['positive-boundary', '--domain', {str(square)!r}],\n"
+            "             ['counterexample'],\n"
+            f"             ['scan-k', '--domain', {str(square)!r}, '--k-min', '0.5',\n"
+            "              '--k-max', '3', '--steps', '26']):\n"
+            f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
+            "    assert 'scipy.special' not in sys.modules, argv\n"
+            f"assert cli.main(['positive-set', '--target', {str(targets)!r},\n"
+            f"                 '--epsilon', '0.2', '--out', {out!r}]) == 0\n"
+            "print('scipy.special' in sys.modules)\n")
+    src = str(Path(helmholtz_positivity.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "True"
