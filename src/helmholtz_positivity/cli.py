@@ -3,8 +3,8 @@
 Commands
 --------
 positive-boundary   gate -> boundary fit -> certificate -> checks
-positive-set        gate -> interior Dirichlet solve -> strict-positivity scan
-                    -> inward shrink -> interior fit -> certificate on the set
+positive-set        gate -> fit to c0 on the domain boundary -> certificate on
+                    the targets -> checks
 counterexample      eigenvalue-radius disk: the expected fit failure plus a
                     panel of random waves changing sign on the circle
 scan-k              CSV sweep of gate/residual/margin over a wavenumber range
@@ -203,35 +203,11 @@ def cmd_positive_set(args) -> int:
         return EXIT_GATE
 
     try:
-        sol = dirichlet.solve_dirichlet_mfs(
-            dirichlet.DirichletProblem(domain, k, c0), mode="tsvd:1e-12")
-        report["dirichlet"] = {
-            "boundary_residual": sol.boundary_residual,
-            "n_sources": len(sol.charge_points),
-            "n_collocation": sol.n_collocation,
-            "effective_rank": sol.effective_rank,
-        }
-        scan = dirichlet.check_strong_positivity(sol, gate, args.samples_interior,
-                                                 seed=args.seed)
-        report["strong_positivity"] = dataclasses.asdict(scan)
-
-        room = float(np.min(geometry.boundary_distance(domain, targets.points)))
-        delta = 0.5 * room
-        inner = geometry.shrink(domain, delta)
-        report["shrink_delta"] = delta
-        if np.any(geometry.locate_points(inner, targets.points) != geometry.INSIDE):
-            raise InputError("shrunk domain no longer contains the target set; "
-                             "targets sit too close to the boundary")
-
-        fit_pts = dirichlet.halton_interior(inner, args.samples_fit, seed=args.seed)
-        fit_vals = dirichlet.evaluate_interior(sol, fit_pts)
-        try:
-            wave, fit = herglotz.fit_interior(fit_pts, fit_vals, k, M=args.max_order,
-                                              mode=args.mode)
-        except ValueError as exc:  # fewer fit points than coefficients
-            raise InputError(f"--samples-fit {args.samples_fit}: {exc}") from exc
-    except (dirichlet.NearEigenvalueError, dirichlet.StrongPositivityError,
-            herglotz.FitFailedError) as exc:
+        wave, fit = herglotz.fit_boundary(
+            domain, k, c0, M=_fit_order(args, k, domain, "--k and the domain"),
+            n_col=args.n_col, mode=args.mode)
+    except herglotz.FitFailedError as exc:
+        report["fit"] = dataclasses.asdict(exc.report)
         report["error"] = str(exc)
         _finish(report, t0, args)
         return EXIT_FIT
@@ -331,10 +307,11 @@ def _selftest_checks(seed: int = 42):
     checks = []
 
     x = np.linspace(0.1, 100.0, 157)
+    J = specfun.bessel_j_table(10, x)
     worst = 0.0
     for nu in range(1, 10):
-        lhs = special.jv(nu - 1, x) + special.jv(nu + 1, x)
-        rhs = (2.0 * nu / x) * special.jv(nu, x)
+        lhs = J[nu - 1] + J[nu + 1]
+        rhs = (2.0 * nu / x) * J[nu]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     checks.append(("bessel_recurrence", worst, 1e-10))
 
@@ -445,7 +422,8 @@ def _check_args(args) -> None:
     if not math.isfinite(args.c0):
         raise InputError(f"--c0 must be finite, got {args.c0}")
     if args.command == "positive-set" and args.c0 < 0.0:
-        # the strong-positivity dichotomy holds for c0 >= 0 only
+        # below the gate the Dirichlet solution has the sign of c0, so a wave
+        # fitted to c0 < 0 is negative on the targets
         raise InputError(f"--c0 must be non-negative for positive-set, got {args.c0}")
     if args.seed < 0:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
@@ -462,8 +440,7 @@ def _check_args(args) -> None:
         raise InputError(f"--mode: {exc}") from exc
     # (flag, least, most); a flag the command lacks, or an unset --n-col, passes
     for name, least, most in (("m", 1, _MAX_ORDER), ("samples", 1, _MAX_COUNT),
-                              ("n_col", 1, _MAX_COUNT), ("samples_interior", 1, _MAX_COUNT),
-                              ("samples_fit", 1, _MAX_COUNT), ("n_waves", 1, _MAX_COUNT),
+                              ("n_col", 1, _MAX_COUNT), ("n_waves", 1, _MAX_COUNT),
                               ("steps", 2, _MAX_COUNT)):
         value = getattr(args, name, None)
         if value is not None and not least <= value <= most:
@@ -530,12 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=None,
                     help="build the domain as a tube of this half-width "
                          "around the target polyline")
-    sp.add_argument("--samples-interior", dest="samples_interior", type=int,
-                    default=512, help="strict-positivity scan samples")
-    sp.add_argument("--samples-fit", dest="samples_fit", type=int, default=600,
-                    help="interior fit sample count")
-    # interior fits are oracle-style: pivoted QR is pointwise-exact there
-    sp.set_defaults(func=cmd_positive_set, mode="qr")
+    sp.set_defaults(func=cmd_positive_set)
 
     sp = sub.add_parser("counterexample",
                         help="demonstrate the eigenvalue obstruction on a disk")
@@ -571,8 +543,7 @@ def main(argv=None) -> int:
     except dirichlet.GateError as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return EXIT_GATE
-    except (dirichlet.NearEigenvalueError, dirichlet.StrongPositivityError,
-            herglotz.FitFailedError) as exc:
+    except (dirichlet.NearEigenvalueError, herglotz.FitFailedError) as exc:
         print(f"solve/fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT
 

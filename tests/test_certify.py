@@ -87,7 +87,7 @@ def test_rounding_term_enters_margin():
     wave = hg.random_wave(12, 1.0, np.random.default_rng(9))
     cert = cf.certify_positive(wave, g.sample_boundary(SQUARE, 256))
     c1 = abs(wave.a0) + np.sum(np.abs(wave.cos_coeffs)) + np.sum(np.abs(wave.sin_coeffs))
-    assert cert.rounding == pytest.approx((9e-16 + 25 * np.finfo(float).eps) * c1, rel=1e-12)
+    assert cert.rounding == pytest.approx((2e-15 + 25 * np.finfo(float).eps) * c1, rel=1e-12)
     assert cert.certified_margin == (cert.min_sample - cert.lipschitz_bound * cert.max_gap / 2.0
                                      - cert.rounding)
 

@@ -106,8 +106,6 @@ def test_bad_domain_json_exit4(files, capsys):
     ["counterexample", "--m", "0"],
     ["positive-boundary", "--c0", "nan"],
     ["positive-set", "--c0", "-1"],
-    ["positive-set", "--samples-interior", "0"],
-    ["positive-set", "--samples-fit", "0"],
     ["counterexample", "--n-waves", "0"],
     # usage errors that argparse reports
     ["positive-boundary", "--k", "abc"],
@@ -125,15 +123,17 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-set", "--seed", "-1"],
     ["counterexample", "--seed", "-1"],
     ["selftest", "--seed", "-1"],
-    # fewer interior fit points than the fit has coefficients
+    # positive-set no longer takes the interior-sample flags: a usage error
+    ["positive-set", "--samples-interior", "0"],
+    ["positive-set", "--samples-interior", "1000000000000"],
+    ["positive-set", "--samples-fit", "0"],
     ["positive-set", "--samples-fit", "1"],
     ["positive-set", "--samples-fit", "25"],
     ["positive-set", "--samples-fit", "100", "--max-order", "200"],
+    ["positive-set", "--samples-fit", "1000000000000"],
     # the count cap, far above it
     ["positive-boundary", "--samples", "1000000000000"],
     ["positive-boundary", "--n-col", "1000000000000"],
-    ["positive-set", "--samples-interior", "1000000000000"],
-    ["positive-set", "--samples-fit", "1000000000000"],
     ["scan-k", "--steps", "1000000000000", "--k-min", "0.5", "--k-max", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit4(files, capsys, argv):
@@ -184,8 +184,8 @@ def test_positive_set_tube_pipeline(files):
     assert rep["certificate"]["certified"] is True
     assert rep["gate"]["area_d"] == pytest.approx(
         2 * 0.2 * 2 + math.pi * 0.2 ** 2)
-    assert rep["strong_positivity"]["branch"] == "positive"
-    assert rep["dirichlet"]["boundary_residual"] <= 1e-6
+    assert rep["fit"]["residual_max"] <= 0.05
+    assert not {"dirichlet", "strong_positivity", "shrink_delta"} & rep.keys()
 
 
 def test_positive_set_center_of_disk(files):
@@ -218,17 +218,40 @@ def test_positive_set_polygon_domain(files):
     assert rep["certificate"]["min_sample"] > 1.0
 
 
-def test_positive_set_reentrant_charge_placement_exit3(files, capsys):
-    # the MFS charges crowd the L's reentrant corner: a solve failure, not bad input
+def test_positive_set_reentrant_L_exit3(files, capsys):
+    # at k 1 the boundary fit misses c0 near the reentrant corner: a fit failure,
+    # not bad input; at k 0.5 the same fit certifies the targets
     out = str(files["tmp"] / "L2_set.json")
     targets = files["tmp"] / "L2_targets.json"
     targets.write_text(json.dumps({"points": [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]}))
-    code = run(["positive-set", "--domain", files["L2.json"], "--target", str(targets),
-                "--k", "1", "--out", out])
-    assert code == 3
-    error = load(out)["error"]
-    assert "ill-resolved" in error and "dilation" not in error
+    argv = ["positive-set", "--domain", files["L2.json"], "--target", str(targets),
+            "--out", out]
+    assert run(argv + ["--k", "1"]) == 3
+    rep = load(out)
+    assert rep["error"].startswith("boundary fit failed")
+    assert rep["fit"]["residual_max"] > 0.05
     assert "input error" not in capsys.readouterr().err
+    assert run(argv + ["--k", "0.5"]) == 0
+    assert load(out)["certificate"]["certified_margin"] > 1.0
+
+
+@pytest.mark.parametrize("points, domain, k", [
+    pytest.param([[-1, 0], [0, 0.1], [1, 0]], None, "2", id="bent-eps0.2-k2"),
+    pytest.param([[-1, 0], [-0.3, 0.3], [0.3, -0.3], [1, 0]], None, "1", id="zig-eps0.2-k1"),
+    pytest.param([[-1, 0], [1, 0]], None, "3", id="straight-eps0.2-k3"),
+    pytest.param([[0, 0], [0.2, 0.1], [-0.15, -0.2]], "square.json", "3", id="square-k3"),
+])
+def test_positive_set_boundary_fit_certifies(files, points, domain, k):
+    # domain None: the --epsilon 0.2 tube around the targets
+    out = str(files["tmp"] / "set.json")
+    targets = files["tmp"] / "case_targets.json"
+    targets.write_text(json.dumps({"points": points}))
+    where = ["--domain", files[domain]] if domain else ["--epsilon", "0.2"]
+    code = run(["positive-set", "--target", str(targets), *where, "--k", k, "--out", out])
+    assert code == 0
+    rep = load(out)
+    assert rep["certificate"]["certified_margin"] > 1.0
+    assert all(c["passed"] for c in rep["checks"])
 
 
 def test_standard_checks_evaluate_each_check_once(files, monkeypatch):

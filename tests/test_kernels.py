@@ -7,8 +7,8 @@ ladder, LAPACK's pivoted QR through scipy.linalg.qr, scipy.special.jn_zeros,
 and scipy.stats.qmc.Halton. The package itself must not import
 scipy.stats or scipy.optimize (they cost most of a cold CLI call) nor
 scipy.linalg (a second BLAS), so the references are imported here only.
-Integer-order Bessel values come from the package's own table, so only
-positive-set and selftest load scipy.special.
+Integer-order Bessel values come from the package's own table, so of the
+commands only selftest loads scipy.special.
 """
 
 import os
@@ -299,7 +299,7 @@ def test_sign_change_flux_matches_jv(m):
     assert abs(rep.flux_integral - ref) <= 1e-14 * abs(ref)
 
 
-def test_cli_loads_scipy_special_for_positive_set_only(tmp_path):
+def test_cli_loads_scipy_special_for_selftest_only(tmp_path):
     square = tmp_path / "square.json"
     square.write_text('{"type": "polygon", "vertices": '
                       '[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}')
@@ -310,13 +310,13 @@ def test_cli_loads_scipy_special_for_positive_set_only(tmp_path):
             "from helmholtz_positivity import cli\n"
             "assert 'scipy.special' not in sys.modules\n"
             f"for argv in (['positive-boundary', '--domain', {str(square)!r}],\n"
+            f"             ['positive-set', '--target', {str(targets)!r}, '--epsilon', '0.2'],\n"
             "             ['counterexample'],\n"
             f"             ['scan-k', '--domain', {str(square)!r}, '--k-min', '0.5',\n"
             "              '--k-max', '3', '--steps', '26']):\n"
             f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
             "    assert 'scipy.special' not in sys.modules, argv\n"
-            f"assert cli.main(['positive-set', '--target', {str(targets)!r},\n"
-            f"                 '--epsilon', '0.2', '--out', {out!r}]) == 0\n"
+            f"assert cli.main(['selftest', '--out', {out!r}]) == 0\n"
             "print('scipy.special' in sys.modules)\n")
     src = str(Path(helmholtz_positivity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

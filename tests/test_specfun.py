@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from helmholtz_positivity import certify as cf
 from helmholtz_positivity import specfun as sf
 
 
@@ -116,6 +117,19 @@ def test_large_order_zero_exceeds_order():
 def test_zero_index_validation():
     with pytest.raises(ValueError):
         sf.bessel_zero(0, 0)
+
+
+def test_bessel_table_error_within_certificate_bound():
+    # the certificate's rounding term assumes every table value is within
+    # certify._TABLE_ERROR of J_n; the reference is mpmath at 30 digits
+    mpmath = pytest.importorskip("mpmath")
+    x = np.concatenate([np.random.default_rng(0).uniform(0.0, 300.0, 60), [1e-3, 0.5]])
+    orders = range(0, 201, 12)
+    J = sf.bessel_j_table(200, x)
+    with mpmath.workdps(30):
+        err = max(abs(J[n, j] - float(mpmath.besselj(n, float(xj))))
+                  for n in orders for j, xj in enumerate(x))
+    assert err <= cf._TABLE_ERROR
 
 
 # --- identities --------------------------------------------------------------
