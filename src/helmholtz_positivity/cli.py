@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -322,10 +323,12 @@ def _selftest_checks(seed: int = 42):
                 < specfun.bessel_zero(0, m + 1) for m in range(1, 11))
     checks.append(("zero_interlacing", 0.0 if inter else 1.0, 0.5))
 
-    xs = rng.uniform(0.05, 60.0, 100)
-    wron = special.jv(1, xs) * special.yvp(1, xs) - special.jvp(1, xs) * special.yv(1, xs)
-    checks.append(("wronskian", float(np.max(np.abs(wron - 2.0 / (math.pi * xs)))),
-                   1e-9))
+    # Neumann's J_0^2 + 2 sum_n J_n^2 = 1 (DLMF 10.23.3) on the package's own
+    # table, with the order far above x so the tail is negligible
+    xs = rng.uniform(0.0, 100.0, 100)
+    J = specfun.bessel_j_table(160, xs)
+    neumann = J[0] ** 2 + 2.0 * np.sum(J[1:] ** 2, axis=0)
+    checks.append(("bessel_neumann_sum", float(np.max(np.abs(neumann - 1.0))), 1e-12))
 
     w = herglotz.random_wave(15, 1.0, rng)
     pts = rng.uniform(-8.0, 8.0, (50, 2))
@@ -466,7 +469,13 @@ def _load_targets_arg(args):
         raise InputError(f"bad target file {args.target}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `positivity` argument parser, built once per process.
+
+    Every call returns the same parser, so callers must not mutate it (no
+    add_argument, set_defaults or similar); parsing leaves it unchanged.
+    """
     p = _Parser(
         prog="positivity",
         description="Construct and certify positive entire Helmholtz solutions "
@@ -484,7 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", default="auto",
                         help="qr | tsvd:<t> | tikhonov:<a> | auto")
         sp.add_argument("--samples", type=int, default=4096,
-                        help="certificate boundary samples")
+                        help="certificate boundary samples; positive-set ignores "
+                             "it, as its certificate runs on the target points")
         sp.add_argument("--seed", type=int, default=42, help="RNG seed")
         sp.add_argument("--override-gate", dest="override_gate",
                         action="store_true", help="proceed despite a failing gate")

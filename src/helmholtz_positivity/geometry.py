@@ -204,7 +204,7 @@ def polygon(vertices) -> Polygon:
     return Polygon(vertices=verts)
 
 
-#: Edges per row block of the pairwise simplicity test (memory ~ block * n).
+#: The simplicity test holds at most this many candidate pairs per edge at once.
 _SIMPLE_BLOCK = 256
 
 
@@ -228,12 +228,42 @@ def _require_simple(verts: np.ndarray, closed: bool) -> None:
     end of one is exactly collinear with the other (orientation 0) and
     inside its 1e-15-padded box. The error names the first hit in (i, j)
     order.
+
+    Only pairs whose padded boxes overlap can hit, so the exact test runs
+    on those alone (sweep and prune): the edges are sorted by their lower
+    x-bound, `searchsorted` lists each edge's x-overlapping successors, and
+    the pairs whose y-intervals overlap too are tested. The pad holds the
+    1e-15 of `_in_box`, so every touching pair is a candidate, plus 1e-12
+    of the coordinate scale for rounding in the orientations of nearly
+    touching edges. Cost: O(n log n + candidate pairs). The candidates are
+    made in blocks of consecutive sorted edges holding at most
+    `_SIMPLE_BLOCK` * n pairs each, so memory stays O(`_SIMPLE_BLOCK` * n)
+    even when every x-interval overlaps every other.
     """
     m = len(verts) if closed else len(verts) - 1
     p, q = verts[:m], np.roll(verts, -1, axis=0)[:m]
-    for start in range(0, m, _SIMPLE_BLOCK):
-        i = np.arange(start, min(start + _SIMPLE_BLOCK, m))[:, None]
-        j = np.arange(start + 1, m)[None, :]
+    pad = 1e-15 + 1e-12 * max(1.0, float(np.max(np.abs(verts))))
+    lo, hi = np.minimum(p, q) - pad, np.maximum(p, q) + pad
+    order = np.argsort(lo[:, 0], kind="stable")
+    # sorted edges t + 1 .. ends[t] - 1 start left of edge order[t]'s right end
+    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    counts = ends - np.arange(m) - 1
+    cum = np.cumsum(counts)
+    first, start = None, 0
+    while start < m:
+        # the next rows whose pairs fit in the budget; one row has fewer than m
+        before = cum[start] - counts[start]
+        stop = int(np.searchsorted(cum, before + _SIMPLE_BLOCK * m, side="right"))
+        rows = np.arange(start, stop)
+        start = stop
+        c = counts[rows]
+        a = np.repeat(rows, c)
+        b = np.arange(len(a)) - np.repeat(np.cumsum(c) - c - rows - 1, c)
+        i = np.minimum(order[a], order[b])
+        j = np.maximum(order[a], order[b])
+        keep = ((lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1]) & (j > i + 1)
+                & ~(closed & (i == 0) & (j == m - 1)))
+        i, j = i[keep], j[keep]
         p1, p2, p3, p4 = p[i], q[i], p[j], q[j]
         d1, d2 = _orient(p3, p4, p1), _orient(p3, p4, p2)
         d3, d4 = _orient(p1, p2, p3), _orient(p1, p2, p4)
@@ -241,12 +271,13 @@ def _require_simple(verts: np.ndarray, closed: bool) -> None:
                   & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0))
         touch = (((d1 == 0) & _in_box(p3, p4, p1)) | ((d2 == 0) & _in_box(p3, p4, p2))
                  | ((d3 == 0) & _in_box(p1, p2, p3)) | ((d4 == 0) & _in_box(p1, p2, p4)))
-        apart = (j > i + 1) & ~(closed & (i == 0) & (j == m - 1))
-        hit = apart & (proper | touch)
+        hit = proper | touch
         if np.any(hit):
-            r, c = np.unravel_index(np.argmax(hit), hit.shape)
-            raise GeometryError(f"self-intersection between edges {i[r, 0]} and "
-                                f"{j[0, c]}; shape must be simple")
+            k = int(np.min(i[hit] * m + j[hit]))
+            first = k if first is None else min(first, k)
+    if first is not None:
+        raise GeometryError(f"self-intersection between edges {first // m} and "
+                            f"{first % m}; shape must be simple")
 
 
 def _dedupe_points(pts: np.ndarray) -> np.ndarray:

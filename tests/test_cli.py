@@ -394,14 +394,14 @@ def test_selftest_passes(files, capsys):
 
 
 def test_selftest_detects_fault_injection(files, capsys, monkeypatch):
-    # a corrupted Bessel evaluation must trip the Wronskian identity
-    real = special.jv
+    # a corrupted Bessel table must trip Neumann's sum-of-squares identity
+    real = sf.bessel_j_table
 
-    def corrupted(order, x):
-        return real(order, x) * (1.0 + 1e-6)
+    def corrupted(M, x):
+        return real(M, x) * (1.0 + 1e-6)
 
-    monkeypatch.setattr(special, "jv", corrupted)
+    monkeypatch.setattr(sf, "bessel_j_table", corrupted)
     checks = dict((name, (res, tol))
                   for name, res, tol in cli._selftest_checks(seed=1))
-    res, tol = checks["wronskian"]
+    res, tol = checks["bessel_neumann_sum"]
     assert res > tol

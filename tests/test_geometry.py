@@ -103,6 +103,91 @@ def _ellipse(n):
     return np.stack([np.cos(t), 0.5 * np.sin(t)], axis=1)
 
 
+def _box_overlap_fraction(verts, closed):
+    """Share of edge pairs whose (unpadded) boxes overlap."""
+    p = np.asarray(verts, dtype=float)
+    q = np.roll(p, -1, axis=0)
+    m = len(p) if closed else len(p) - 1
+    lo, hi = np.minimum(p, q)[:m], np.maximum(p, q)[:m]
+    overlap = np.all((lo[:, None] <= hi[None]) & (lo[None] <= hi[:, None]), axis=-1)
+    return (np.sum(overlap) - m) / (m * (m - 1))
+
+
+def test_require_simple_matches_reference_on_large_grid_shapes():
+    # 40-150 grid vertices: star polygons, x-monotone walks and random polylines,
+    # where most edge pairs have disjoint boxes and are pruned
+    rng = np.random.default_rng(7)
+    verdicts, fractions = [], []
+    for trial in range(60):
+        n = int(rng.integers(40, 151))
+        kind = trial % 3
+        if kind == 0:
+            t = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+            r = rng.integers(40, 80, n)
+            verts = np.round(np.stack([r * np.cos(t), r * np.sin(t)], axis=1)) * 0.5
+        elif kind == 1:
+            steps = np.stack([rng.integers(0, 2, n), rng.integers(-3, 4, n)], axis=1)
+            verts = np.cumsum(steps, axis=0) * 0.5
+        else:
+            verts = rng.integers(0, 40, size=(n, 2)) * 0.5
+        closed = kind == 0 or bool(trial % 2)
+        new = _simplicity_verdict(g._require_simple, verts, closed)
+        assert new == _simplicity_verdict(_reference_require_simple, verts, closed)
+        verdicts.append(new)
+        fractions.append(_box_overlap_fraction(verts, closed))
+    accepted = sum(v is None for v in verdicts)
+    assert 5 < accepted < 55  # both outcomes are covered
+    assert np.median(fractions) < 0.5  # pruning drops most pairs
+
+
+def _zigzag(n):
+    """Open zig-zag whose edges all span x in [0, 1]."""
+    return np.stack([np.arange(n) % 2, 0.5 * np.arange(n)], axis=1).astype(float)
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+def test_require_simple_on_zigzag_sharing_one_x_range(monkeypatch, block):
+    # every x-interval overlaps every other: the worst case of the sweep, in
+    # blocks of any size
+    monkeypatch.setattr(g, "_SIMPLE_BLOCK", block)
+    good = _zigzag(61)
+    assert _simplicity_verdict(g._require_simple, good, False) is None
+    assert _simplicity_verdict(_reference_require_simple, good, False) is None
+    bad = good.copy()
+    bad[30] = [1.0, bad[27, 1]]  # lands on the vertex shared by edges 26 and 27
+    new = _simplicity_verdict(g._require_simple, bad, False)
+    assert new is not None
+    assert new == _simplicity_verdict(_reference_require_simple, bad, False)
+    closed = _simplicity_verdict(g._require_simple, good, True)
+    assert closed is not None  # the closing edge crosses the zig-zag
+    assert closed == _simplicity_verdict(_reference_require_simple, good, True)
+
+
+@pytest.mark.parametrize("spine, simple", [
+    # edges 0 and 4 lie on y = 0, far apart
+    ([[0, 0], [1, 0], [1, 1], [3, 1], [3, 0], [4, 0]], True),
+    # edge 0 reaches under edges 3 and 4 on the same line
+    ([[0, 0], [3.5, 0], [3.5, 1], [3, 1], [3, 0], [4, 0]], False),
+])
+def test_require_simple_on_spine_with_collinear_edges(spine, simple):
+    verts = np.asarray(spine, dtype=float)
+    new = _simplicity_verdict(g._require_simple, verts, False)
+    assert (new is None) == simple
+    assert new == _simplicity_verdict(_reference_require_simple, verts, False)
+    if simple:
+        assert isinstance(g.tube_of(verts, 0.2), g.Tube)
+
+
+def test_require_simple_on_1000_vertex_ellipse_touching_itself():
+    verts = _ellipse(1000)
+    verts[500:502] = [[-1.0, 1e-3], [-1.0, -1e-3]]  # edge 500 is vertical
+    g.polygon(verts)  # still simple
+    verts[0] = [-1.0, 0.0]  # pushed inward onto the middle of edge 500
+    new = _simplicity_verdict(g._require_simple, verts, True)
+    assert new == "self-intersection between edges 0 and 500; shape must be simple"
+    assert new == _simplicity_verdict(_reference_require_simple, verts, True)
+
+
 def test_polygon_accepts_1000_vertex_ellipse():
     poly = g.polygon(_ellipse(1000))
     assert g.area(poly) == pytest.approx(math.pi * 0.5, rel=1e-4)
