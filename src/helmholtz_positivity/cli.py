@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, dirichlet, geometry, herglotz, specfun
+from . import certify, dirichlet, geometry, herglotz, linalg, specfun
 
 EXIT_OK = 0
 EXIT_GATE = 2
@@ -438,7 +438,7 @@ def _check_args(args) -> None:
         if args.n_col < floor:
             raise InputError(f"--n-col must be at least {floor}, got {args.n_col}")
     try:
-        herglotz._fit_mode(args.mode)
+        linalg.parse_mode(args.mode)
     except ValueError as exc:
         raise InputError(f"--mode: {exc}") from exc
     # (flag, least, most); a flag the command lacks, or an unset --n-col, passes

@@ -131,8 +131,9 @@ def faber_krahn_gate(domain, k: float) -> SpectralGate:
     area_d = geometry.area(domain)
     r_star = j01 / k
     rho = math.sqrt(area_d / math.pi)  # radius of the equal-area disk
-    lam_lb = (j01 / rho) ** 2
-    with np.errstate(over="ignore"):  # inf once r_star^2 overflows (k -> 0)
+    # inf once r_star^2 overflows (k -> 0) or the area underflows to 0
+    with np.errstate(over="ignore", divide="ignore"):
+        lam_lb = (j01 / rho) ** 2
         threshold = float(math.pi * r_star ** 2)
     return SpectralGate(k=float(k), area_d=area_d, r_star=r_star,
                         area_threshold=threshold, lambda1_lower_bound=lam_lb,

@@ -464,7 +464,8 @@ def area(domain) -> float:
     """Enclosed area: shoelace for polygons, pi R^2 for disks, and the exact
     piecewise (segment/arc) Green's-theorem area for tubes."""
     if isinstance(domain, Disk):
-        return math.pi * domain.radius ** 2
+        # a Python float's ** raises OverflowError where * gives inf
+        return math.pi * (domain.radius * domain.radius)
     if isinstance(domain, Polygon):
         return _signed_area(domain.vertices)
     if isinstance(domain, Tube):

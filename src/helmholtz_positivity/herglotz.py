@@ -16,9 +16,10 @@ about a chosen expansion center. The basis columns come from one
 J_0..J_M recurrence table (specfun.bessel_j_table) and the powers of
 e^{i theta}. Fits to boundary or interior targets are regularized least
 squares in this real basis, with validation residuals reported on samplings
-disjoint from the collocation; the automatic mode picks its truncation
-threshold from a ladder of filters applied to a single SVD. Waves are stored
-as coefficients (wave_to_json); densities are derived (to_density), not stored.
+disjoint from the collocation; the automatic mode of linalg.lstsq picks its
+truncation threshold from a ladder of filters applied to a single SVD. Waves
+are stored as coefficients (wave_to_json); densities are derived
+(to_density), not stored.
 """
 
 from __future__ import annotations
@@ -265,43 +266,6 @@ def _validation_report(wave, misfit: np.ndarray, mode_text: str, n_col: int) -> 
     )
 
 
-#: Threshold ladder tried by the automatic regularization choice.
-AUTO_TSVD_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12)
-
-
-def _auto_tsvd_solve(A: np.ndarray, b: np.ndarray, scale: float):
-    """Pick the largest truncation threshold with near-best collocation misfit.
-
-    Deep truncations can shave the misfit slightly while inflating the
-    coefficient norm by orders of magnitude, which ruins the Lipschitz
-    certificate downstream. The rule: accept a threshold once its max
-    collocation misfit is within 2x of the best over the ladder, or below
-    2 percent of the target scale. Selection uses only collocation data;
-    validation stays untouched. All thresholds share one SVD of A.
-    """
-    sols = linalg.tsvd_ladder(A, b, AUTO_TSVD_LADDER)
-    colmax = [float(np.max(np.abs(A @ s.coefficients - b))) for s in sols]
-    accept = max(2.0 * min(colmax), 0.02 * scale)
-    # largest threshold first; the one with the best misfit always qualifies
-    i = next(i for i, c in enumerate(colmax) if c <= accept)
-    return sols[i], ("tsvd", AUTO_TSVD_LADDER[i])
-
-
-def _fit_mode(mode):
-    """None for "auto", else linalg.parse_mode(mode) (ValueError if unknown)."""
-    if isinstance(mode, str) and mode.strip().lower() == "auto":
-        return None
-    return linalg.parse_mode(mode)
-
-
-def _fit_solve(A: np.ndarray, b: np.ndarray, mode, scale: float):
-    """Solve one fit system in `mode`; returns (solution, report label)."""
-    if _fit_mode(mode) is None:
-        sol, used = _auto_tsvd_solve(A, b, scale)
-        return sol, f"auto({linalg.mode_label(used)})"
-    return linalg.lstsq(A, b, mode=mode), linalg.mode_label(mode)
-
-
 def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
                  n_col: int | None = None, mode="auto",
                  override_gate: bool = False,
@@ -316,8 +280,8 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
 
     The default mode "auto" selects a truncated-SVD threshold from a
     ladder, trading a marginally larger misfit for a much smaller
-    coefficient norm (see _auto_tsvd_solve); any explicit mode accepted by
-    linalg.lstsq can be forced instead.
+    coefficient norm; any other mode of linalg.lstsq can be forced
+    instead, e.g. "qr", the minimum-norm least-squares solution.
     """
     k = float(k)
     gate = dirichlet.faber_krahn_gate(domain, k)
@@ -337,12 +301,12 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     col = geometry.sample_boundary(domain, n_col)
     A = _basis_matrix(col.points - center, k, M)
     b = np.full(n_col, float(target_c0))
-    sol, mode_text = _fit_solve(A, b, mode, max(abs(target_c0), 1e-300))
+    sol = linalg.lstsq(A, b, mode=mode)
     wave = _wave_from_coef(sol.coefficients, k, center)
 
     val = geometry.sample_boundary(domain, 4 * n_col, offset=0.5)
     misfit = eval_series(wave, val.points) - float(target_c0)
-    report = _validation_report(wave, misfit, mode_text, n_col)
+    report = _validation_report(wave, misfit, sol.mode, n_col)
     if report.residual_max > fail_threshold * abs(target_c0):
         raise FitFailedError(
             f"boundary fit failed: residual_max {report.residual_max:.3e} "
@@ -380,12 +344,12 @@ def fit_interior(points, values, k: float, M: int | None = None, mode="qr",
             f"{len(fitidx)} fit targets cannot determine {2 * M + 1} coefficients")
     A = _basis_matrix(pts[fitidx] - center, k, M)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
-    sol, mode_text = _fit_solve(A, vals[fitidx], mode, scale)
+    sol = linalg.lstsq(A, vals[fitidx], mode=mode)
     wave = _wave_from_coef(sol.coefficients, k, center)
 
     check = hold if len(hold) else fitidx
     misfit = eval_series(wave, pts[check]) - vals[check]
-    report = _validation_report(wave, misfit, mode_text, len(fitidx))
+    report = _validation_report(wave, misfit, sol.mode, len(fitidx))
     if report.residual_max > fail_threshold * scale:
         raise FitFailedError(
             f"interior fit failed: residual_max {report.residual_max:.3e} "

@@ -1,18 +1,25 @@
-"""Dense least squares for the wave fits: pivoted QR, truncated SVD, Tikhonov.
+"""Dense least squares for the wave fits: one SVD, filtered.
 
-`lstsq` is the one solver every fit calls; `tsvd_ladder` returns the
-truncated-SVD solutions for several thresholds from a single SVD. Real
-and complex systems go through the same kernels in their own dtype
-(complex ones with conjugate transposes), so the effective rank of a
-complex system is its complex rank. The reported residual is always
-recomputed on the system as given.
+`lstsq` is the one solver every fit calls. It factorises the system once,
+A = U diag(s) V^H with numpy's SVD, and returns x = V (f * U^H b), where the
+mode picks the filter factors f (Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, SIAM 1998):
 
-Every factorisation runs on numpy's OpenBLAS. The pivoted QR is Businger and
-Golub's Householder QR with column pivoting (Numer. Math. 7, 1965) written
-in numpy, with the column-norm downdating of Drmac and Bujanovic (LAPACK
-Working Note 176, 2008) that LAPACK's xLAQP2 uses. scipy.linalg would bring
-a second OpenBLAS whose idle threads spin after each call and stall the
-next factorisation in the other library.
+- "qr" (or "qr_pivot") and "tikhonov:0": the pseudo-inverse, f = 1/s on
+  s > max(m, n) eps s_1 (the rank cutoff of a pivoted QR), which gives the
+  minimum-norm least-squares solution; the name "qr" stays in reports;
+- "tsvd:<t>": f = 1/s on s > t s_1 (t = 1e-12 when omitted);
+- "tikhonov:<a>": f = s / (s^2 + a^2) on s > max(m, n) eps s_1;
+- "auto": every threshold of AUTO_TSVD_LADDER, and the pick described in
+  `lstsq`.
+
+At s_1 = 0 no factor is kept, so a zero system has x = 0 and rank 0. Real
+and complex systems go through the same kernel in their own dtype (complex
+ones with conjugate transposes), so the effective rank of a complex system
+is its complex rank. The reported residual is always recomputed on the
+system as given. The SVD runs on numpy's LAPACK: scipy.linalg would bring a
+second OpenBLAS whose idle threads spin after each call and stall the next
+factorisation in the other library.
 """
 
 from __future__ import annotations
@@ -23,55 +30,59 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "AUTO_TSVD_LADDER",
     "LeastSquaresSolution",
     "parse_mode",
     "mode_label",
     "lstsq",
-    "tsvd_ladder",
 ]
 
 DEFAULT_TSVD_THRESHOLD = 1e-12
+
+#: Truncated-SVD thresholds tried by mode "auto", largest first.
+AUTO_TSVD_LADDER = (1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12)
 
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
     coefficients: np.ndarray
     residual_norm: float
-    effective_rank: int
+    effective_rank: int          # the singular values above truncation_threshold
     truncation_threshold: float
     mode: str
 
 
 def parse_mode(mode) -> tuple[str, float]:
-    """Normalize a solver mode string.
+    """Normalize a solver mode to (kind, parameter); ValueError if invalid.
 
-    Accepts "qr" / "qr_pivot", "tsvd" / "tsvd:<rel threshold>", and
-    "tikhonov:<alpha>" (alpha 0 falls back to a pseudo-inverse cutoff).
+    Accepts "qr" / "qr_pivot" and "auto", which take no parameter,
+    "tsvd" / "tsvd:<t>" and "tikhonov" / "tikhonov:<a>" with a finite
+    t, a >= 0, and the (kind, parameter) pairs this returns.
     """
     if isinstance(mode, (tuple, list)) and len(mode) == 2:
-        kind, param = str(mode[0]), float(mode[1])
+        kind, raw = str(mode[0]), mode[1]
     else:
-        text = str(mode).strip().lower()
-        if ":" in text:
-            kind, _, raw = text.partition(":")
-            param = float(raw)
-        else:
-            kind, param = text, None
+        kind, colon, raw = str(mode).strip().lower().partition(":")
+        raw = raw if colon else None
     kind = {"qr_pivot": "qr"}.get(kind, kind)
-    if kind == "qr":
-        return "qr", 0.0
-    if kind == "tsvd":
-        return "tsvd", DEFAULT_TSVD_THRESHOLD if param is None else float(param)
-    if kind == "tikhonov":
-        return "tikhonov", 0.0 if param is None else float(param)
-    raise ValueError(f"unknown least-squares mode {mode!r}")
+    if kind in ("qr", "auto"):
+        # a pair carries the parameter 0.0; any text after "qr:" is a parameter
+        if raw is not None and raw != 0:
+            raise ValueError(f"mode {kind!r} takes no parameter, got {mode!r}")
+        return kind, 0.0
+    if kind not in ("tsvd", "tikhonov"):
+        raise ValueError(f"unknown least-squares mode {mode!r}")
+    if raw is None:
+        return kind, DEFAULT_TSVD_THRESHOLD if kind == "tsvd" else 0.0
+    param = float(raw)
+    if not (math.isfinite(param) and param >= 0.0):
+        raise ValueError(f"mode {kind!r} needs a finite parameter >= 0, got {raw!r}")
+    return kind, param
 
 
 def mode_label(mode) -> str:
     kind, param = parse_mode(mode)
-    if kind == "qr":
-        return "qr"
-    return f"{kind}:{param:g}"
+    return kind if kind in ("qr", "auto") else f"{kind}:{param:g}"
 
 
 def _svd(A: np.ndarray):
@@ -79,57 +90,6 @@ def _svd(A: np.ndarray):
     A = np.asarray(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     return U, s, Vh.conj().T
-
-
-def _pivoted_qr(A, b):
-    """Householder QR with column pivoting, applied to b as it goes.
-
-    Returns (R, Q^H b, perm) with A[:, perm] = Q R, R upper trapezoidal of
-    shape (min(m, n), n) and Q^H b of length min(m, n); Q is never formed.
-    Each step takes the remaining column of largest norm (the first on a
-    tie) and reflects it onto alpha e_1, alpha = -(x_0/|x_0|) ||x||, so
-    |R_ii| = ||x||. The other column norms are downdated and recomputed
-    once a norm has lost all but sqrt(eps) of its reference value.
-    """
-    m, n = A.shape
-    # an exact power-of-two scale puts the largest entry in [0.5, 1): no norm
-    # overflows, and only columns far below the rank cutoff can underflow
-    scale = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(A)))[1]))
-    W = A.T.copy()          # row j of W is column j of A: swaps and norms are contiguous
-    W *= scale
-    z = b.copy()
-    perm = np.arange(n)
-    norms = np.linalg.norm(W, axis=1)
-    refs = norms.copy()
-    tol = math.sqrt(np.finfo(float).eps / 2)   # LAPACK's sqrt(dlamch('E'))
-    for i in range(min(m, n)):
-        p = i + int(np.argmax(norms[i:]))
-        if p != i:
-            W[[i, p]] = W[[p, i]]
-            perm[[i, p]] = perm[[p, i]]
-            norms[p], refs[p] = norms[i], refs[i]
-        x = W[i, i:]
-        size = float(np.linalg.norm(x))
-        if size == 0.0:
-            continue
-        x0 = x[0]
-        alpha = -(x0 / abs(x0) if x0 != 0 else 1.0) * size
-        v = x / (x0 - alpha)    # x - alpha e_1 scaled to v_0 = 1, so |v_j| <= 1
-        v[0] = 1.0
-        tau = 2.0 / float(np.vdot(v, v).real)
-        x[0], x[1:] = alpha, 0.0
-        T = W[i + 1:, i:]
-        T -= np.outer(tau * (T @ v.conj()), v)
-        z[i:] -= (tau * np.vdot(v, z[i:])) * v
-        live = np.flatnonzero(norms[i + 1:]) + i + 1
-        left = np.maximum(1.0 - (np.abs(W[live, i]) / norms[live]) ** 2, 0.0)
-        stale = left * (norms[live] / refs[live]) ** 2 <= tol
-        norms[live] *= np.sqrt(left)
-        redo = live[stale]
-        norms[redo] = np.linalg.norm(W[redo, i + 1:], axis=1)
-        refs[redo] = norms[redo]
-    k = min(m, n)
-    return np.triu(W[:, :k].T) / scale, z[:k], perm
 
 
 def _system(A, b):
@@ -144,61 +104,55 @@ def _system(A, b):
     return A.astype(dtype, copy=False), b.astype(dtype, copy=False)
 
 
-def _solution(A, b, x, rank, cutoff, mode) -> LeastSquaresSolution:
-    residual = float(np.linalg.norm(A @ x - b))
-    return LeastSquaresSolution(coefficients=x, residual_norm=residual,
-                                effective_rank=rank,
-                                truncation_threshold=float(cutoff),
-                                mode=mode_label(mode))
-
-
-def tsvd_ladder(A, b, thresholds) -> list:
-    """Truncated-SVD solutions, one per relative threshold, from one SVD.
-
-    Entry i equals lstsq(A, b, mode=("tsvd", thresholds[i])).
-    """
-    A, b = _system(A, b)
-    U, s, V = _svd(A)
-    Ub = U.conj().T @ b
-    out = []
-    for t in thresholds:
-        cutoff = t * s[0]
+def _filter(s, kind: str, param: float, size: int):
+    """(filter factors, effective rank, cutoff) of a parsed mode on the
+    nonincreasing singular values s of a system with max(m, n) = size."""
+    s1 = np.max(s, initial=0.0)
+    filt = np.zeros_like(s)
+    if kind == "tsvd":
+        cutoff = param * s1
         keep = s > cutoff
-        filt = np.zeros_like(s)
         filt[keep] = 1.0 / s[keep]
-        out.append(_solution(A, b, V @ (filt * Ub), int(np.count_nonzero(keep)),
-                             cutoff, ("tsvd", t)))
-    return out
+        return filt, int(np.count_nonzero(keep)), cutoff
+    floor = size * np.finfo(float).eps * s1
+    keep = s > floor
+    if kind == "tikhonov" and param > 0.0:
+        filt[keep] = s[keep] / (s[keep] ** 2 + param ** 2)
+        cutoff = max(param, floor)
+    else:  # qr and tikhonov:0, the pseudo-inverse
+        filt[keep] = 1.0 / s[keep]
+        cutoff = floor
+    return filt, int(np.count_nonzero(s > cutoff)), cutoff
 
 
 def lstsq(A, b, mode="qr") -> LeastSquaresSolution:
-    """Minimize ||A x - b||_2 (plus alpha^2 ||x||^2 in tikhonov mode)."""
+    """Minimize ||A x - b||_2 (plus alpha^2 ||x||^2 in tikhonov mode).
+
+    Mode "auto" solves at every threshold of AUTO_TSVD_LADDER and keeps the
+    largest one whose max misfit |A x - b| is within 2x of the best over the
+    ladder, or below 2 percent of max |b|. Deep truncations can shave the
+    misfit slightly while inflating the coefficient norm by orders of
+    magnitude, which ruins the Lipschitz certificate downstream. Its label
+    names the pick, e.g. "auto(tsvd:1e-05)".
+    """
     kind, param = parse_mode(mode)
-    if kind == "tsvd":
-        return tsvd_ladder(A, b, (param,))[0]
     A, b = _system(A, b)
-    ncols = A.shape[1]
-    if not np.any(A):
-        x = np.zeros(ncols, dtype=A.dtype)
-        rank, cutoff = 0, 0.0
-    elif kind == "qr":
-        R, z, perm = _pivoted_qr(A, b)
-        diag = np.abs(np.diag(R))
-        cutoff = max(A.shape) * np.finfo(float).eps * diag[0]
-        rank = int(np.count_nonzero(diag > cutoff))
-        x = np.zeros(ncols, dtype=A.dtype)
-        # R is triangular, so LU does not pivot: this is a back substitution
-        x[perm[:rank]] = np.linalg.solve(R[:rank, :rank], z[:rank])
-    else:  # tikhonov
-        U, s, V = _svd(A)
-        cutoff = param
-        floor = max(A.shape) * np.finfo(float).eps * s[0]
-        keep = s > floor
-        filt = np.zeros_like(s)
-        if param == 0.0:
-            filt[keep] = 1.0 / s[keep]
-        else:
-            filt[keep] = s[keep] / (s[keep] ** 2 + param ** 2)
-        rank = int(np.count_nonzero(s > max(param, floor)))
-        x = V @ (filt * (U.conj().T @ b))
-    return _solution(A, b, x, rank, cutoff, mode)
+    U, s, V = _svd(A)
+    Ub = U.conj().T @ b
+    modes = [("tsvd", t) for t in AUTO_TSVD_LADDER] if kind == "auto" else [(kind, param)]
+    fits = []
+    for m in modes:
+        filt, rank, cutoff = _filter(s, *m, max(A.shape))
+        x = V @ (filt * Ub)
+        fits.append((x, A @ x - b, rank, cutoff))
+    pick = 0
+    if kind == "auto":
+        colmax = [float(np.max(np.abs(r))) for _, r, _, _ in fits]
+        accept = max(2.0 * min(colmax), 0.02 * float(np.max(np.abs(b))))
+        # largest threshold first; the one with the best misfit always qualifies
+        pick = next(i for i, c in enumerate(colmax) if c <= accept)
+    x, r, rank, cutoff = fits[pick]
+    label = mode_label(modes[pick])
+    return LeastSquaresSolution(coefficients=x, residual_norm=float(np.linalg.norm(r)),
+                                effective_rank=rank, truncation_threshold=float(cutoff),
+                                mode=f"auto({label})" if kind == "auto" else label)

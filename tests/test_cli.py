@@ -27,6 +27,7 @@ def files(tmp_path):
                                      [0.5, 0], [1, 0]]})
     dump("far_targets.json", {"points": [[0, 0], [5, 0]]})
     dump("square_targets.json", {"points": [[0, 0], [0.2, 0.1], [-0.15, -0.2]]})
+    dump("huge_disk.json", {"type": "disk", "center": [0, 0], "radius": 1e200})
     dump("L2.json", {"type": "polygon",
                      "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
     paths["tmp"] = tmp_path
@@ -102,6 +103,11 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-boundary", "--k", "inf"],
     ["positive-boundary", "--max-order", "-1"],
     ["positive-boundary", "--mode", "bogus"],
+    # a mode parameter must be finite and non-negative, and qr takes none
+    ["positive-boundary", "--mode", "qr:5"],
+    ["positive-boundary", "--mode", "tsvd:-1"],
+    ["positive-boundary", "--mode", "tikhonov:nan"],
+    ["positive-set", "--mode", "tsvd:inf"],
     ["positive-boundary", "--n-col", "5"],
     ["counterexample", "--m", "0"],
     ["positive-boundary", "--c0", "nan"],
@@ -337,6 +343,24 @@ def test_tiny_k_report_is_strict_json(files, capsys):
     rep = load_strict(out)
     assert rep["gate"]["area_threshold"] is None
     assert rep["gate"]["passes"] is True
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    # pi R^2 overflows: the gate fails on an infinite area
+    (["positive-boundary", "--domain", "huge_disk.json"], 2),
+    # R = j01 / k: pi R^2 overflows, then underflows to 0 (lambda_1 bound inf)
+    (["counterexample", "--k", "1e-300", "--n-waves", "4"], 0),
+    (["counterexample", "--k", "1e300", "--n-waves", "4"], 0),
+    (["counterexample", "--r-scale", "1e-300", "--n-waves", "4"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_extreme_scales_exit_cleanly(files, capsys, argv, code):
+    # no traceback and no numpy warning (pytest makes warnings errors)
+    out = str(files["tmp"] / "extreme.json")
+    argv = [files.get(a, a) for a in argv]
+    assert run(argv + ["--out", out]) == code
+    gate = load_strict(out)["gate"]
+    assert gate["passes"] is (code == 0)
     assert capsys.readouterr().err == ""
 
 

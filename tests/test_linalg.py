@@ -23,8 +23,39 @@ def test_parse_mode():
     assert la.parse_mode("tsvd:1e-8") == ("tsvd", 1e-8)
     assert la.parse_mode("tikhonov:0.5") == ("tikhonov", 0.5)
     assert la.parse_mode(("tsvd", 1e-6)) == ("tsvd", 1e-6)
-    with pytest.raises(ValueError):
-        la.parse_mode("cholesky")
+    assert la.parse_mode("tsvd:0") == ("tsvd", 0.0)
+    assert la.parse_mode("tikhonov") == ("tikhonov", 0.0)
+    assert la.parse_mode(" AUTO ") == ("auto", 0.0)
+    # what parse_mode returns parses to itself
+    assert la.parse_mode(("qr", 0.0)) == ("qr", 0.0)
+    assert la.parse_mode(("auto", 0.0)) == ("auto", 0.0)
+    # qr and auto take no parameter; t and a must be finite and >= 0
+    for bad in ("cholesky", "qr:5", "qr:0", "qr_pivot:1", "auto:1", ("qr", 5.0),
+                "tsvd:-1", "tsvd:nan", "tsvd:inf", "tsvd:", "tsvd:abc",
+                "tikhonov:nan", "tikhonov:-0.5", ("tikhonov", float("nan"))):
+        with pytest.raises(ValueError):
+            la.parse_mode(bad)
+
+
+def test_mode_labels():
+    assert [la.mode_label(m) for m in ("qr_pivot", "auto", "tsvd", "tikhonov:0.5")] \
+        == ["qr", "auto", "tsvd:1e-12", "tikhonov:0.5"]
+    # from t = 1e-4 on, only the last component is missed: 0.01 < 2% of max |b|
+    sol = la.lstsq(np.diag([1.0, 1e-3, 1e-9]), np.array([1.0, 1.0, 0.01]), mode="auto")
+    assert sol.mode == "auto(tsvd:0.0001)"
+    assert sol.effective_rank == 2
+
+
+def test_qr_is_tikhonov_zero():
+    # one filter: 1/s on s > max(m, n) eps s_1, the rank cutoff of a pivoted QR
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 12))
+    b = rng.standard_normal(40)
+    qr, tik = la.lstsq(A, b, mode="qr"), la.lstsq(A, b, mode="tikhonov:0")
+    assert np.array_equal(qr.coefficients, tik.coefficients)
+    assert qr.effective_rank == tik.effective_rank == 5
+    assert qr.truncation_threshold == pytest.approx(40 * np.finfo(float).eps * np.linalg.norm(A, 2))
+    assert (qr.mode, tik.mode) == ("qr", "tikhonov:0")
 
 
 def test_identity_system():
