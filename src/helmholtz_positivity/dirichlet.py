@@ -69,7 +69,9 @@ class SpectralGate:
     """Area comparison against the equal-measure disk of radius j01/k.
 
     passes  <=>  |D| <= pi (j01/k)^2  <=>  lambda1_lower_bound >= k^2,
-    with equality only in the equal-measure disk case.
+    with equality only in the equal-measure disk case. It is decided on
+    radii, sqrt(|D| / pi) <= r_star (a disk's own radius for a disk), so it
+    stays right where both areas overflow to inf.
     """
 
     k: float
@@ -135,9 +137,11 @@ def faber_krahn_gate(domain, k: float) -> SpectralGate:
     with np.errstate(over="ignore", divide="ignore"):
         lam_lb = (j01 / rho) ** 2
         threshold = float(math.pi * r_star ** 2)
+    if isinstance(domain, geometry.Disk):  # its radius is exact, its area may be inf
+        rho = domain.radius
     return SpectralGate(k=float(k), area_d=area_d, r_star=r_star,
                         area_threshold=threshold, lambda1_lower_bound=lam_lb,
-                        passes=bool(area_d <= threshold))
+                        passes=bool(rho <= r_star))
 
 
 def _mfs_collocation(domain, n_col: int) -> np.ndarray:

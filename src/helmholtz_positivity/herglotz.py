@@ -17,9 +17,10 @@ J_0..J_M recurrence table (specfun.bessel_j_table) and the powers of
 e^{i theta}. Fits to boundary or interior targets are regularized least
 squares in this real basis, with validation residuals reported on samplings
 disjoint from the collocation; the automatic mode of linalg.lstsq picks its
-truncation threshold from a ladder of filters applied to a single SVD. Waves
-are stored as coefficients (wave_to_json); densities are derived
-(to_density), not stored.
+truncation threshold from a ladder of filters applied to a single SVD. The
+fits do not gate: whether k^2 lies below the first Dirichlet eigenvalue is
+the caller's question. Waves are stored as coefficients (wave_to_json);
+densities are derived (to_density), not stored.
 """
 
 from __future__ import annotations
@@ -31,9 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dirichlet, geometry, linalg, specfun
+from . import geometry, linalg, specfun
 
 __all__ = [
+    "FAIL_THRESHOLD",
     "FitFailedError",
     "HerglotzDensity",
     "FourierBesselWave",
@@ -55,6 +57,11 @@ __all__ = [
     "save_wave",
     "load_wave",
 ]
+
+
+#: Largest validation residual a fit may leave, relative to its target
+#: (|c0| for a boundary fit, max |value| for an interior one).
+FAIL_THRESHOLD = 0.05
 
 
 class FitFailedError(RuntimeError):
@@ -267,16 +274,15 @@ def _validation_report(wave, misfit: np.ndarray, mode_text: str, n_col: int) -> 
 
 
 def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
-                 n_col: int | None = None, mode="auto",
-                 override_gate: bool = False,
-                 fail_threshold: float = 0.05):
+                 n_col: int | None = None, mode="auto"):
     """Least-squares fit of the wave to a constant on the domain boundary.
 
     Returns (wave, report) where the report is computed on an independent
     validation sampling four times denser than (and disjoint from) the
-    collocation. residual_max above fail_threshold * |c0| raises
+    collocation. residual_max above FAIL_THRESHOLD * |c0| raises
     FitFailedError; this is the expected outcome when k^2 sits at a
-    Dirichlet eigenvalue of the domain.
+    Dirichlet eigenvalue of the domain. The fit does not gate; a caller
+    that needs k^2 below the first eigenvalue checks the gate itself.
 
     The default mode "auto" selects a truncated-SVD threshold from a
     ladder, trading a marginally larger misfit for a much smaller
@@ -284,11 +290,6 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     instead, e.g. "qr", the minimum-norm least-squares solution.
     """
     k = float(k)
-    gate = dirichlet.faber_krahn_gate(domain, k)
-    if not gate.passes and not override_gate:
-        raise dirichlet.GateError(
-            "spectral gate failed for this (domain, k); pass override_gate=True "
-            "to attempt the fit anyway", gate=gate)
     if M is None:
         M = default_truncation(k, domain)
     M = int(M)
@@ -307,17 +308,17 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     val = geometry.sample_boundary(domain, 4 * n_col, offset=0.5)
     misfit = eval_series(wave, val.points) - float(target_c0)
     report = _validation_report(wave, misfit, sol.mode, n_col)
-    if report.residual_max > fail_threshold * abs(target_c0):
+    if report.residual_max > FAIL_THRESHOLD * abs(target_c0):
         raise FitFailedError(
             f"boundary fit failed: residual_max {report.residual_max:.3e} "
-            f"> {fail_threshold:g} * |c0| (eigenvalue obstruction or M too small)",
+            f"> {FAIL_THRESHOLD:g} * |c0| (eigenvalue obstruction or M too small)",
             report=report, wave=wave)
     return wave, report
 
 
 def fit_interior(points, values, k: float, M: int | None = None, mode="qr",
                  center=None, holdout_stride: int = 10,
-                 fail_threshold: float = 0.05):
+                 fail_threshold: float = FAIL_THRESHOLD):
     """Fit the wave to interior samples (point, value).
 
     Every holdout_stride-th point is held out of the fit and used for the

@@ -57,17 +57,13 @@ def parse_mode(mode) -> tuple[str, float]:
 
     Accepts "qr" / "qr_pivot" and "auto", which take no parameter,
     "tsvd" / "tsvd:<t>" and "tikhonov" / "tikhonov:<a>" with a finite
-    t, a >= 0, and the (kind, parameter) pairs this returns.
+    t, a >= 0.
     """
-    if isinstance(mode, (tuple, list)) and len(mode) == 2:
-        kind, raw = str(mode[0]), mode[1]
-    else:
-        kind, colon, raw = str(mode).strip().lower().partition(":")
-        raw = raw if colon else None
+    kind, colon, raw = str(mode).strip().lower().partition(":")
+    raw = raw if colon else None
     kind = {"qr_pivot": "qr"}.get(kind, kind)
     if kind in ("qr", "auto"):
-        # a pair carries the parameter 0.0; any text after "qr:" is a parameter
-        if raw is not None and raw != 0:
+        if raw is not None:
             raise ValueError(f"mode {kind!r} takes no parameter, got {mode!r}")
         return kind, 0.0
     if kind not in ("tsvd", "tikhonov"):
@@ -80,9 +76,12 @@ def parse_mode(mode) -> tuple[str, float]:
     return kind, param
 
 
-def mode_label(mode) -> str:
-    kind, param = parse_mode(mode)
+def _label(kind: str, param: float) -> str:
     return kind if kind in ("qr", "auto") else f"{kind}:{param:g}"
+
+
+def mode_label(mode) -> str:
+    return _label(*parse_mode(mode))
 
 
 def _svd(A: np.ndarray):
@@ -152,7 +151,7 @@ def lstsq(A, b, mode="qr") -> LeastSquaresSolution:
         # largest threshold first; the one with the best misfit always qualifies
         pick = next(i for i, c in enumerate(colmax) if c <= accept)
     x, r, rank, cutoff = fits[pick]
-    label = mode_label(modes[pick])
+    label = _label(*modes[pick])
     return LeastSquaresSolution(coefficients=x, residual_norm=float(np.linalg.norm(r)),
                                 effective_rank=rank, truncation_threshold=float(cutoff),
                                 mode=f"auto({label})" if kind == "auto" else label)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -28,6 +29,7 @@ def files(tmp_path):
     dump("far_targets.json", {"points": [[0, 0], [5, 0]]})
     dump("square_targets.json", {"points": [[0, 0], [0.2, 0.1], [-0.15, -0.2]]})
     dump("huge_disk.json", {"type": "disk", "center": [0, 0], "radius": 1e200})
+    dump("giant_disk.json", {"type": "disk", "center": [0, 0], "radius": 1.2e302})
     dump("L2.json", {"type": "polygon",
                      "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
     paths["tmp"] = tmp_path
@@ -36,6 +38,14 @@ def files(tmp_path):
 
 def run(args):
     return cli.main(args)
+
+
+def subcommand_flags():
+    """{subcommand: the set of its flags} as `cli.build_parser()` declares them."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sp in sub.choices.items()}
 
 
 def load(path):
@@ -141,14 +151,62 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-boundary", "--samples", "1000000000000"],
     ["positive-boundary", "--n-col", "1000000000000"],
     ["scan-k", "--steps", "1000000000000", "--k-min", "0.5", "--k-max", "3"],
+    # a flag the command does not read is a usage error
+    ["positive-boundary", "--boundary-tol", "1e-9"],
+    ["positive-set", "--override-gate"],
+    ["counterexample", "--domain", "square.json"],
+    ["counterexample", "--n-col", "5", "--max-order", "3"],
+    ["counterexample", "--samples", "512"],
+    ["counterexample", "--override-gate"],
+    ["counterexample", "--boundary-tol", "1e-9"],
+    ["counterexample", "--csv", "unused.csv"],
+    ["counterexample", "--wave", "unused.json"],
+    ["scan-k", "--k", "-1", "--k-min", "0.5", "--k-max", "3"],
+    ["scan-k", "--n-col", "40", "--k-min", "0.5", "--k-max", "3"],
+    ["scan-k", "--seed", "1", "--k-min", "0.5", "--k-max", "3"],
+    ["scan-k", "--override-gate", "--k-min", "0.5", "--k-max", "3"],
+    ["scan-k", "--boundary-tol", "1e-9", "--k-min", "0.5", "--k-max", "3"],
+    ["scan-k", "--wave", "unused.json", "--k-min", "0.5", "--k-max", "3"],
+    ["selftest", "--domain", "square.json"],
+    ["selftest", "--k", "nan"],
+    ["selftest", "--c0", "1"],
+    ["selftest", "--max-order", "3"],
+    ["selftest", "--n-col", "40"],
+    ["selftest", "--mode", "qr"],
+    ["selftest", "--samples", "512"],
+    ["selftest", "--override-gate"],
+    ["selftest", "--boundary-tol", "1e-9"],
+    ["selftest", "--csv", "unused.csv"],
+    ["selftest", "--wave", "unused.json"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_flag_values_exit4(files, capsys, argv):
-    # positive-set rows get targets inside the square, so only the flag is at fault
-    target = ["--target", files["square_targets.json"]] if argv[0] == "positive-set" else []
-    assert run(argv + ["--domain", files["square.json"]] + target) == 4
+    # each command gets the input files it takes, so only the flag is at fault;
+    # the positive-set targets lie inside the square
+    takes = subcommand_flags()[argv[0]]
+    inputs = [[flag, files[name]] for flag, name in (("--domain", "square.json"),
+                                                     ("--target", "square_targets.json"))
+              if flag in takes]
+    assert run(argv + sum(inputs, [])) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
     assert argv[1] in err[0]
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    fit = "--c0 --max-order --mode "
+    table = {
+        "positive-boundary": "--domain --k " + fit + "--n-col --samples --seed "
+                             "--override-gate --csv --wave --out",
+        # --samples is kept though no code reads it
+        "positive-set": "--domain --k " + fit + "--n-col --samples --seed "
+                        "--boundary-tol --csv --wave --out --target --epsilon",
+        "counterexample": "--k " + fit + "--seed --out --m --r-scale --n-waves",
+        "scan-k": "--domain " + fit + "--samples --csv --out --k-min --k-max --steps",
+        "selftest": "--seed --out",
+    }
+    flags = subcommand_flags()
+    assert flags == {command: set(names.split()) for command, names in table.items()}
+    assert sum(map(len, flags.values())) == 47
 
 
 def test_wave_count_cap():
@@ -346,21 +404,29 @@ def test_tiny_k_report_is_strict_json(files, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("argv, code", [
+def _extreme(argv, code, passes):
+    return pytest.param(argv, code, passes, id=f"{' '.join(argv)}-{code}")
+
+
+@pytest.mark.parametrize("argv, code, passes", [
     # pi R^2 overflows: the gate fails on an infinite area
-    (["positive-boundary", "--domain", "huge_disk.json"], 2),
+    _extreme(["positive-boundary", "--domain", "huge_disk.json"], 2, False),
+    # pi R^2 and pi (j01/k)^2 both overflow, yet k R = 120 > j01: the radii decide
+    _extreme(["positive-boundary", "--domain", "giant_disk.json", "--k", "1e-300"], 2, False),
     # R = j01 / k: pi R^2 overflows, then underflows to 0 (lambda_1 bound inf)
-    (["counterexample", "--k", "1e-300", "--n-waves", "4"], 0),
-    (["counterexample", "--k", "1e300", "--n-waves", "4"], 0),
-    (["counterexample", "--r-scale", "1e-300", "--n-waves", "4"], 0),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
-def test_extreme_scales_exit_cleanly(files, capsys, argv, code):
+    _extreme(["counterexample", "--k", "1e-300", "--n-waves", "4"], 0, True),
+    _extreme(["counterexample", "--k", "1e300", "--n-waves", "4"], 0, True),
+    _extreme(["counterexample", "--r-scale", "1e-300", "--n-waves", "4"], 0, True),
+    # counterexample reports the gate but does not stop at it
+    _extreme(["counterexample", "--k", "1e-300", "--r-scale", "50", "--n-waves", "4"], 0, False),
+])
+def test_extreme_scales_exit_cleanly(files, capsys, argv, code, passes):
     # no traceback and no numpy warning (pytest makes warnings errors)
     out = str(files["tmp"] / "extreme.json")
     argv = [files.get(a, a) for a in argv]
     assert run(argv + ["--out", out]) == code
     gate = load_strict(out)["gate"]
-    assert gate["passes"] is (code == 0)
+    assert gate["passes"] is passes
     assert capsys.readouterr().err == ""
 
 

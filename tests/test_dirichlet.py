@@ -44,6 +44,17 @@ def test_gate_scale_covariance_exact(t):
         assert scaled.passes == base.passes
 
 
+def test_gate_decided_on_radii_when_areas_overflow():
+    # pi R^2 and pi (j01/k)^2 both overflow to inf, yet k R = 120 > j01
+    gate = dr.faber_krahn_gate(g.disk([0, 0], 1.2e302), 1e-300)
+    assert gate.area_d == gate.area_threshold == math.inf
+    assert not gate.passes
+    # the eigenvalue-radius disk sits on the threshold at every scale: R == r_star
+    for k in (1.0, 0.37, 3.3, 1e-300, 1e300):
+        gate = dr.faber_krahn_gate(g.disk([0, 0], J01 / k), k)
+        assert gate.passes
+
+
 def test_gate_invariant_fields():
     gate = dr.faber_krahn_gate(UNIT_DISK, 2.0)
     assert gate.r_star == pytest.approx(J01 / 2.0)

@@ -157,11 +157,6 @@ def test_square_fit_succeeds():
     assert wave.M == 20
 
 
-def test_fit_gate_enforced():
-    with pytest.raises(dr.GateError):
-        hg.fit_boundary(SQUARE, 10.0, 1.0)
-
-
 def test_fit_validation_monotone_in_order_qr():
     # fixed collocation: validation rms at order M+5 is no worse than at M
     n_col = 4 * (2 * 25 + 1)
