@@ -53,7 +53,6 @@ from .geometry import (
     perimeter,
     polygon,
     sample_boundary,
-    shrink,
     target_set,
     tube_of,
 )

@@ -109,18 +109,10 @@ def certify_positive(wave: herglotz.FourierBesselWave,
 
 
 def certify_positive_on_set(wave: herglotz.FourierBesselWave,
-                            targets: geometry.TargetSet,
-                            lipschitz_radius: float = 0.0) -> PositivityCertificate:
-    """Certificate for wave > 0 on a sampled compact set.
-
-    lipschitz_radius is the covering radius of the samples within the true
-    set (0 for a finite set represented exactly, making the certificate
-    pointwise-exact up to evaluation error). It enters the margin through
-    the same Lipschitz logic as the boundary gap, via max_gap = 2 * radius.
-    """
-    if lipschitz_radius < 0.0:
-        raise ValueError("lipschitz_radius must be nonnegative")
-    return _certificate(wave, targets.points, 2.0 * float(lipschitz_radius))
+                            targets: geometry.TargetSet) -> PositivityCertificate:
+    """Certificate for wave > 0 at the finite target points: no Lipschitz
+    term (max_gap 0), so the margin is the least value less rounding."""
+    return _certificate(wave, targets.points, 0.0)
 
 
 def sign_change_on_circle(wave: herglotz.FourierBesselWave, m: int,

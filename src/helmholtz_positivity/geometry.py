@@ -8,8 +8,11 @@ one row per piece: endpoints or centre, radius, sweep angles, length and
 the arclength where each piece starts. Polygons and disks build the table
 on each call; a tube builds it once. The table gives exact perimeters and
 areas (Green's theorem), arclength-uniform boundary sampling with outward
-normals by one `searchsorted`, and the joint arclengths; containment is
-three-valued with a configurable boundary tolerance.
+normals by one `searchsorted`, and the joint arclengths. A polygon's area
+and centroid come from one shoelace on its vertices minus the first vertex,
+scaled by a power of two, so a huge polygon gets an infinite area instead
+of an overflow. Containment is three-valued with a configurable boundary
+tolerance.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "GeometryError",
-    "ShrinkCollapseError",
     "TubeOverlapError",
     "Disk",
     "Polygon",
@@ -34,7 +36,6 @@ __all__ = [
     "polygon",
     "tube_of",
     "target_set",
-    "densify_polyline",
     "area",
     "perimeter",
     "centroid",
@@ -48,7 +49,6 @@ __all__ = [
     "locate_points",
     "contains",
     "inside_mask",
-    "shrink",
     "domain_to_json",
     "domain_from_json",
     "load_domain",
@@ -66,10 +66,6 @@ INSIDE, BOUNDARY, OUTSIDE = 1, 0, -1
 
 class GeometryError(ValueError):
     """Invalid geometric input or construction."""
-
-
-class ShrinkCollapseError(GeometryError):
-    """Inward offset collapsed or degenerated; delta is too large."""
 
 
 class TubeOverlapError(GeometryError):
@@ -179,9 +175,19 @@ def disk(center, radius: float) -> Disk:
     return Disk(center=c, radius=float(radius))
 
 
-def _signed_area(verts: np.ndarray) -> float:
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _shoelace(verts: np.ndarray):
+    """(s, u, w, cross): the shoelace terms of a polygon, free of overflow.
+
+    s is a power of two with max |verts| < 2 s, u the vertices minus the
+    first vertex in units of s (so |u| < 4 and the scaling is exact), w the
+    next vertex of each row of u, and cross = u x w, whose sum is twice the
+    signed area in units of s * s.
+    """
+    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(verts))))[1] - 1)
+    u = verts / s
+    u = u - u[0]
+    w = np.roll(u, -1, axis=0)
+    return s, u, w, u[:, 0] * w[:, 1] - w[:, 0] * u[:, 1]
 
 
 def polygon(vertices) -> Polygon:
@@ -195,8 +201,9 @@ def polygon(vertices) -> Polygon:
     scale = max(1.0, float(np.max(np.abs(verts))))
     if np.any(edge_len <= 1e-14 * scale):
         raise GeometryError("polygon has a zero-length edge")
-    sa = _signed_area(verts)
-    if abs(sa) <= 1e-14 * scale * scale:
+    s, _, _, cross = _shoelace(verts)
+    sa = 0.5 * float(np.sum(cross))  # in units of s * s, where it is finite
+    if abs(sa) <= 1e-14 * (scale / s) * (scale / s):
         raise GeometryError("polygon is degenerate (zero area)")
     if sa < 0.0:
         verts = verts[::-1].copy()
@@ -422,20 +429,6 @@ def target_set(points) -> TargetSet:
     return TargetSet(points=pts)
 
 
-def densify_polyline(vertices, max_spacing: float) -> np.ndarray:
-    """Insert points along a polyline so consecutive spacing <= max_spacing."""
-    verts = np.asarray(vertices, dtype=float)
-    if max_spacing <= 0.0:
-        raise GeometryError("max_spacing must be positive")
-    out = [verts[0]]
-    for a, b in zip(verts[:-1], verts[1:]):
-        L = np.hypot(*(b - a))
-        n = max(1, int(math.ceil(L / max_spacing)))
-        for j in range(1, n + 1):
-            out.append(a + (j / n) * (b - a))
-    return np.asarray(out)
-
-
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
@@ -467,7 +460,8 @@ def area(domain) -> float:
         # a Python float's ** raises OverflowError where * gives inf
         return math.pi * (domain.radius * domain.radius)
     if isinstance(domain, Polygon):
-        return _signed_area(domain.vertices)
+        s, _, _, cross = _shoelace(domain.vertices)
+        return 0.5 * float(np.sum(cross)) * s * s  # inf, not a warning, past 1e308
     if isinstance(domain, Tube):
         pc = domain.pieces
         r, cx, cy = pc.radius, pc.a[:, 0], pc.a[:, 1]
@@ -489,13 +483,9 @@ def centroid(domain) -> np.ndarray:
     if isinstance(domain, Disk):
         return domain.center.copy()
     if isinstance(domain, Polygon):
-        v = domain.vertices
-        w = np.roll(v, -1, axis=0)
-        crossterm = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        a = 0.5 * np.sum(crossterm)
-        cx = np.sum((v[:, 0] + w[:, 0]) * crossterm) / (6.0 * a)
-        cy = np.sum((v[:, 1] + w[:, 1]) * crossterm) / (6.0 * a)
-        return np.array([cx, cy])
+        s, u, w, cross = _shoelace(domain.vertices)
+        c = ((u + w) * cross[:, None]).sum(axis=0) / (3.0 * np.sum(cross))
+        return domain.vertices[0] + s * c
     if isinstance(domain, Tube):
         s = domain.spine
         mid = 0.5 * (s[:-1] + s[1:])
@@ -627,64 +617,6 @@ def contains(domain, point, tol: float = BOUNDARY_TOL) -> bool:
 
 def inside_mask(domain, points, tol: float = BOUNDARY_TOL) -> np.ndarray:
     return locate_points(domain, points, tol) == INSIDE
-
-
-# ---------------------------------------------------------------------------
-# inward offset
-# ---------------------------------------------------------------------------
-
-def shrink(domain, delta: float):
-    """Inward offset by delta: disk radius R - delta, polygon miter inset,
-    tube epsilon reduced to epsilon - delta.
-
-    Raises ShrinkCollapseError when the offset degenerates (delta too large).
-    """
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise GeometryError("shrink delta must be positive and finite")
-    if isinstance(domain, Disk):
-        if delta >= domain.radius:
-            raise ShrinkCollapseError("delta >= disk radius")
-        return disk(domain.center, domain.radius - delta)
-    if isinstance(domain, Tube):
-        if delta >= domain.epsilon:
-            raise ShrinkCollapseError("delta >= tube epsilon")
-        return tube_of(domain.spine, domain.epsilon - delta)
-    if isinstance(domain, Polygon):
-        inner = _offset_polygon_inward(domain.vertices, delta)
-        try:
-            result = polygon(inner)
-        except GeometryError as exc:
-            raise ShrinkCollapseError(f"inward offset degenerated: {exc}") from exc
-        _validate_shrink(domain, result, delta)
-        return result
-    raise GeometryError(f"not a domain: {domain!r}")
-
-
-def _offset_polygon_inward(verts: np.ndarray, delta: float) -> np.ndarray:
-    """Vertex i of the inset is where the offsets of edges i-1 and i meet."""
-    d = np.roll(verts, -1, axis=0) - verts
-    L = np.hypot(d[:, 0], d[:, 1])
-    d = d / L[:, None]
-    q = verts + delta * np.stack([-d[:, 1], d[:, 0]], axis=1)  # left of travel for CCW
-    p, dp = np.roll(q, 1, axis=0), np.roll(d, 1, axis=0)  # offset edge i-1
-    denom = dp[:, 0] * d[:, 1] - dp[:, 1] * d[:, 0]
-    rhs = q - p
-    with np.errstate(all="ignore"):  # rows with collinear neighbour edges keep q
-        t = (rhs[:, 0] * d[:, 1] - rhs[:, 1] * d[:, 0]) / denom
-        return np.where((np.abs(denom) < 1e-300)[:, None], q, p + t[:, None] * dp)
-
-
-def _validate_shrink(original: Polygon, inner: Polygon, delta: float) -> None:
-    if _signed_area(inner.vertices) >= _signed_area(original.vertices):
-        raise ShrinkCollapseError("inward offset did not reduce the area")
-    probes = [inner.vertices]
-    for f in (0.25, 0.5, 0.75):
-        probes.append(inner.vertices + f * (np.roll(inner.vertices, -1, axis=0) - inner.vertices))
-    pts = np.concatenate(probes, axis=0)
-    if not np.all(inside_mask(original, pts)):
-        raise ShrinkCollapseError("inward offset escaped the original polygon")
-    if float(np.min(boundary_distance(original, pts))) < delta * (1.0 - 1e-9):
-        raise ShrinkCollapseError("inward offset came closer than delta to the boundary")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,12 @@
 """The three Bessel-family kernels of the planar pipelines.
 
 The table J_0..J_M behind every Fourier-Bessel basis comes from one
-backward recurrence, and every integer-order Bessel value the package needs
-is read from it. The positive zeros j_{nu,m} of J_nu are located by a
-bracketing scan refined by bisection and a Newton polish, on table values
-for integer orders; half-integer orders are accepted because
-j_{1/2,m} = m pi is the closed-form oracle for it, and only they reach
-scipy.special.jv. The fundamental solution (i/4) H_0^(1) behind every
-charge matrix comes from scipy.special's j0 and y0. scipy.special is
-imported only inside the half-integer branch and fundamental_solution, so
-the commands that need neither never load it.
+backward recurrence, and every Bessel value the commands need is read from
+it. The positive zeros j_{n,m} of J_n, for integer orders n = 0..60, are
+located by a bracketing scan refined by bisection and a Newton polish on
+table values. The fundamental solution (i/4) H_0^(1) behind every charge
+matrix comes from scipy.special's j0 and y0; scipy.special is imported only
+inside fundamental_solution, which no command calls.
 """
 
 from __future__ import annotations
@@ -24,30 +21,26 @@ __all__ = [
     "fundamental_solution",
 ]
 
-# Orders with 2*nu above this are outside the supported contract: the zero
-# finder is tested against scipy.special.jn_zeros up to order 60.
-MAX_TWICE_ORDER = 120
+#: Orders above this are outside the supported contract: the zero finder is
+#: tested against scipy.special.jn_zeros up to order 60.
+MAX_ZERO_ORDER = 60
 
-#: Twice the order -> its first 2^j - 1 zeros found so far, ascending. A
-#: miss extends them to 2^J - 1 >= m, so zeros 1..N cost O(log N) scans.
+#: Order -> its first 2^j - 1 zeros found so far, ascending. A miss extends
+#: them to 2^J - 1 >= m, so zeros 1..N cost O(log N) scans.
 _ZEROS: dict = {}
 
 
-def _j_and_derivative(twice_nu: int, x: np.ndarray):
-    """J_nu(x) and J_nu'(x) at x > 0, nu = twice_nu / 2."""
-    if twice_nu % 2:
-        from scipy import special
-        return special.jv(twice_nu / 2.0, x), special.jvp(twice_nu / 2.0, x)
-    n = twice_nu // 2
+def _j_and_derivative(n: int, x: np.ndarray):
+    """J_n(x) and J_n'(x) at x > 0."""
     J = bessel_j_table(n + 1, x)
     return J[n], (n / x) * J[n] - J[n + 1]  # DLMF 10.6.2
 
 
-def _scan_zeros(twice_nu: int, first: int, count: int) -> tuple:
-    """Zeros first + 1 .. count of J_nu, nu = twice_nu / 2, where first + 1
-    and count + 1 are powers of two.
+def _scan_zeros(n: int, first: int, count: int) -> tuple:
+    """Zeros first + 1 .. count of J_n, where first + 1 and count + 1 are
+    powers of two.
 
-    Evaluates the grid x = max(nu, 0.5) + i pi/4, where J_nu is strictly
+    Evaluates the grid x = max(n, 0.5) + i pi/4, where J_n is strictly
     positive at i = 0 (the first zero exceeds the order) and the step is
     well below the minimal zero spacing, in one call. The sign-change
     brackets of zeros 2^b .. 2^(b+1) - 1 are bisected 8 times together,
@@ -58,28 +51,27 @@ def _scan_zeros(twice_nu: int, first: int, count: int) -> tuple:
     call in the last bit, so these fixed blocks make every zero the same
     whatever was asked before.
     """
-    nu = twice_nu / 2.0
-    x0 = max(nu, 0.5)
+    x0 = max(n, 0.5)
     step = 0.25 * math.pi
-    # Horizon: j_{nu,m} < (m + nu/2 - 1/4) pi for nu >= 1/2, its McMahon
-    # leading term (DLMF 10.21.19), which J_0's zeros exceed by < 0.05.
-    limit = (count + 0.5 * nu + 1.0) * math.pi
+    # Horizon: j_{n,m} < (m + n/2 - 1/4) pi for n >= 1, its McMahon leading
+    # term (DLMF 10.21.19), which J_0's zeros exceed by < 0.05.
+    limit = (count + 0.5 * n + 1.0) * math.pi
     grid = x0 + step * np.arange(int((limit - x0) / step) + 1)
-    positive = _j_and_derivative(twice_nu, grid)[0] > 0.0
+    positive = _j_and_derivative(n, grid)[0] > 0.0
     left = np.flatnonzero(positive[:-1] != positive[1:])
     if len(left) < count:
-        raise RuntimeError(f"zero scan for nu={nu} exceeded horizon; wanted {count} zeros")
+        raise RuntimeError(f"zero scan for n={n} exceeded horizon; wanted {count} zeros")
     zeros = ()
     while first < count:
         i = left[first:2 * first + 1]
         a, b = grid[i], grid[i + 1]
         for _ in range(8):
             mid = 0.5 * (a + b)
-            keep_a = (_j_and_derivative(twice_nu, mid)[0] > 0.0) != positive[i]
+            keep_a = (_j_and_derivative(n, mid)[0] > 0.0) != positive[i]
             a, b = np.where(keep_a, a, mid), np.where(keep_a, mid, b)
         root = 0.5 * (a + b)
         for _ in range(3):
-            f, df = _j_and_derivative(twice_nu, root)
+            f, df = _j_and_derivative(n, root)
             root -= f / df
         zeros += tuple(root)
         first = 2 * first + 1
@@ -87,26 +79,20 @@ def _scan_zeros(twice_nu: int, first: int, count: int) -> tuple:
 
 
 def bessel_zero(order, m: int) -> float:
-    """m-th positive zero j_{nu,m} of J_nu (m >= 1), strictly increasing in m.
+    """m-th positive zero j_{n,m} of J_n (m >= 1), strictly increasing in m.
 
-    The order must be a nonnegative multiple of 1/2 with 2*nu <= 120. The
-    value is a numpy.float64.
+    The order must be an integer in [0, 60]. The value is a numpy.float64.
     """
     nu = float(order)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"order must be finite and nonnegative, got {order!r}")
-    twice = 2.0 * nu
-    if abs(twice - round(twice)) > 1e-12:
-        raise ValueError(f"order must be a multiple of 1/2, got {order!r}")
-    if round(twice) > MAX_TWICE_ORDER:
-        raise ValueError(f"order {order!r} exceeds the supported range (2*nu <= {MAX_TWICE_ORDER})")
+    if not (math.isfinite(nu) and nu == int(nu) and 0 <= nu <= MAX_ZERO_ORDER):
+        raise ValueError(f"order must be an integer in [0, {MAX_ZERO_ORDER}], got {order!r}")
     m = int(m)
     if m < 1:
         raise ValueError("zero index m must be >= 1")
-    twice = int(round(twice))
-    zeros = _ZEROS.get(twice, ())
+    n = int(nu)
+    zeros = _ZEROS.get(n, ())
     if m > len(zeros):
-        zeros = _ZEROS[twice] = zeros + _scan_zeros(twice, len(zeros), 2 ** m.bit_length() - 1)
+        zeros = _ZEROS[n] = zeros + _scan_zeros(n, len(zeros), 2 ** m.bit_length() - 1)
     return zeros[m - 1]
 
 

@@ -101,15 +101,6 @@ def test_set_on_zero_circle_not_certified():
     assert not cert.certified
 
 
-def test_covering_radius_enters_margin():
-    wave = radial_unit_boundary_wave()
-    targets = g.target_set([[0.0, 0.0]])
-    loose = cf.certify_positive_on_set(wave, targets, lipschitz_radius=0.1)
-    tight = cf.certify_positive_on_set(wave, targets)
-    assert loose.certified_margin == pytest.approx(
-        tight.certified_margin - wave.a0 * 0.1, rel=1e-10)
-
-
 # --- sign change on eigen-circles ---------------------------------------------
 
 def test_random_waves_change_sign_with_zero_flux():

@@ -30,6 +30,11 @@ def files(tmp_path):
     dump("square_targets.json", {"points": [[0, 0], [0.2, 0.1], [-0.15, -0.2]]})
     dump("huge_disk.json", {"type": "disk", "center": [0, 0], "radius": 1e200})
     dump("giant_disk.json", {"type": "disk", "center": [0, 0], "radius": 1.2e302})
+    dump("huge_square.json", {"type": "polygon",
+                              "vertices": [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]})
+    dump("huge_L2.json", {"type": "polygon",
+                          "vertices": [[0, 0], [2e200, 0], [2e200, 1e200], [1e200, 1e200],
+                                       [1e200, 2e200], [0, 2e200]]})
     dump("L2.json", {"type": "polygon",
                      "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
     paths["tmp"] = tmp_path
@@ -413,6 +418,9 @@ def _extreme(argv, code, passes):
     _extreme(["positive-boundary", "--domain", "huge_disk.json"], 2, False),
     # pi R^2 and pi (j01/k)^2 both overflow, yet k R = 120 > j01: the radii decide
     _extreme(["positive-boundary", "--domain", "giant_disk.json", "--k", "1e-300"], 2, False),
+    # the shoelace terms, not just the area, overflow: a polygon, not degenerate
+    _extreme(["positive-boundary", "--domain", "huge_square.json"], 2, False),
+    _extreme(["positive-boundary", "--domain", "huge_L2.json"], 2, False),
     # R = j01 / k: pi R^2 overflows, then underflows to 0 (lambda_1 bound inf)
     _extreme(["counterexample", "--k", "1e-300", "--n-waves", "4"], 0, True),
     _extreme(["counterexample", "--k", "1e300", "--n-waves", "4"], 0, True),
@@ -494,4 +502,19 @@ def test_selftest_detects_fault_injection(files, capsys, monkeypatch):
     checks = dict((name, (res, tol))
                   for name, res, tol in cli._selftest_checks(seed=1))
     res, tol = checks["bessel_neumann_sum"]
+    assert res > tol
+    monkeypatch.undo()
+
+    # a boundary fit off by 1e-6 in a0 must miss the disk's closed form
+    fit = herglotz.fit_boundary
+
+    def perturbed(*args, **kwargs):
+        wave, report = fit(*args, **kwargs)
+        wave.a0 += 1e-6
+        return wave, report
+
+    monkeypatch.setattr(herglotz, "fit_boundary", perturbed)
+    checks = dict((name, (res, tol))
+                  for name, res, tol in cli._selftest_checks(seed=1))
+    res, tol = checks["fit_vs_disk_closed_form"]
     assert res > tol

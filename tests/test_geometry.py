@@ -377,46 +377,6 @@ def test_ray_casting_agrees_with_winding_number(verts):
     assert np.all(crossing[~near] == winding[~near])
 
 
-# --- shrink ---------------------------------------------------------------------
-
-def test_shrink_disk():
-    assert g.shrink(g.disk([0, 0], 1.0), 0.1).radius == pytest.approx(0.9)
-
-
-def test_shrink_square():
-    inner = g.shrink(g.polygon(UNIT_SQUARE), 0.1)
-    assert g.area(inner) == pytest.approx(0.64)
-    assert np.allclose(np.sort(inner.vertices, axis=0),
-                       np.sort(np.array([[0.1, 0.1], [0.9, 0.1],
-                                         [0.9, 0.9], [0.1, 0.9]]), axis=0))
-
-
-def test_shrink_preserves_offset_distance():
-    for dom in (g.polygon(L_SHAPE), g.polygon(UNIT_SQUARE)):
-        delta = 0.15
-        inner = g.shrink(dom, delta)
-        probe = g.sample_boundary(inner, 256).points
-        assert np.min(g.boundary_distance(dom, probe)) >= delta * (1 - 1e-9)
-        assert g.area(inner) < g.area(dom)
-
-
-def test_shrink_keeps_far_targets_inside():
-    dom = g.polygon(UNIT_SQUARE)
-    targets = np.array([[0.5, 0.5], [0.3, 0.4], [0.25, 0.75]])
-    assert np.min(g.boundary_distance(dom, targets)) >= 0.2
-    inner = g.shrink(dom, 0.1)
-    assert np.all(g.inside_mask(inner, targets))
-
-
-def test_shrink_collapse_raises():
-    with pytest.raises(g.ShrinkCollapseError):
-        g.shrink(g.disk([0, 0], 1.0), 1.0)
-    with pytest.raises(g.ShrinkCollapseError):
-        g.shrink(g.polygon(UNIT_SQUARE), 0.5)
-    with pytest.raises(g.ShrinkCollapseError):
-        g.shrink(g.tube_of([[-1, 0], [1, 0]], 0.2), 0.25)
-
-
 # --- tubes ----------------------------------------------------------------------
 
 def test_tube_of_point_is_disk():
@@ -456,13 +416,6 @@ def test_target_set_validation():
         g.target_set(np.zeros((0, 2)))
     ts = g.target_set([[0, 0], [1, 1]])
     assert ts.points.shape == (2, 2)
-
-
-def test_densify_polyline():
-    pts = g.densify_polyline([[0, 0], [1, 0]], 0.3)
-    gaps = np.hypot(*np.diff(pts, axis=0).T)
-    assert np.max(gaps) <= 0.3 + 1e-12
-    assert np.allclose(pts[0], [0, 0]) and np.allclose(pts[-1], [1, 0])
 
 
 # --- JSON -------------------------------------------------------------------------

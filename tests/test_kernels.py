@@ -7,8 +7,8 @@ ladder, LAPACK's pivoted QR through scipy.linalg.qr, scipy.special.jn_zeros,
 and scipy.stats.qmc.Halton. The package itself must not import
 scipy.stats or scipy.optimize (they cost most of a cold CLI call) nor
 scipy.linalg (a second BLAS), so the references are imported here only.
-Integer-order Bessel values come from the package's own table, so of the
-commands only selftest loads scipy.special.
+Every Bessel value and zero a command needs comes from the package's own
+table, so no command loads scipy at all.
 """
 
 import os
@@ -305,29 +305,36 @@ def test_sign_change_flux_matches_jv(m):
     assert abs(rep.flux_integral - ref) <= 1e-14 * abs(ref)
 
 
-def test_cli_loads_scipy_special_for_selftest_only(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
+    # the README's examples, all five commands in one fresh interpreter
     square = tmp_path / "square.json"
     square.write_text('{"type": "polygon", "vertices": '
                       '[[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]}')
-    targets = tmp_path / "targets.json"
-    targets.write_text('{"points": [[-1, 0], [-0.5, 0], [0, 0], [0.5, 0], [1, 0]]}')
-    out = str(tmp_path / "report.json")
+    points = tmp_path / "points.json"
+    points.write_text('{"points": [[-1, 0], [-0.5, 0], [0, 0], [0.5, 0], [1, 0]]}')
+    out = lambda name: str(tmp_path / name)
+    commands = [
+        ["positive-boundary", "--domain", str(square), "--k", "1", "--c0", "1",
+         "--out", out("report.json"), "--wave", out("wave.json"),
+         "--csv", out("boundary_values.csv")],
+        ["positive-set", "--target", str(points), "--epsilon", "0.2", "--k", "1",
+         "--out", out("report.json")],
+        ["counterexample", "--k", "1", "--m", "1", "--out", out("report.json")],
+        ["scan-k", "--domain", str(square), "--k-min", "0.5", "--k-max", "3",
+         "--steps", "26", "--csv", out("scan.csv")],
+        ["selftest"],
+    ]
     code = ("import sys\n"
             "from helmholtz_positivity import cli\n"
-            "assert 'scipy.special' not in sys.modules\n"
-            f"for argv in (['positive-boundary', '--domain', {str(square)!r}],\n"
-            f"             ['positive-set', '--target', {str(targets)!r}, '--epsilon', '0.2'],\n"
-            "             ['counterexample'],\n"
-            f"             ['scan-k', '--domain', {str(square)!r}, '--k-min', '0.5',\n"
-            "              '--k-max', '3', '--steps', '26']):\n"
-            f"    assert cli.main(argv + ['--out', {out!r}]) == 0, argv\n"
-            "    assert 'scipy.special' not in sys.modules, argv\n"
-            f"assert cli.main(['selftest', '--out', {out!r}]) == 0\n"
-            "print('scipy.special' in sys.modules)\n")
+            "assert 'scipy' not in sys.modules\n"
+            f"for argv in {commands!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(helmholtz_positivity.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip().splitlines()[-1] == "True"
+    assert run.stdout.strip().splitlines()[-1] == "[]"
