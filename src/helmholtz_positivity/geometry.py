@@ -8,11 +8,12 @@ one row per piece: endpoints or centre, radius, sweep angles, length and
 the arclength where each piece starts. Polygons and disks build the table
 on each call; a tube builds it once. The table gives exact perimeters and
 areas (Green's theorem), arclength-uniform boundary sampling with outward
-normals by one `searchsorted`, and the joint arclengths. A polygon's area
-and centroid come from one shoelace on its vertices minus the first vertex,
-scaled by a power of two, so a huge polygon gets an infinite area instead
-of an overflow. Containment is three-valued with a configurable boundary
-tolerance.
+normals by one `searchsorted`, and the joint arclengths. Areas, centroids,
+distances and ray casting work in units of a power of two taken from the
+domain's own coordinates (`_pow2_scale`), which is exact, so a huge domain
+gets an infinite area instead of an overflow; a polygon's area and centroid
+come from one shoelace on its vertices minus the first vertex. Containment
+is three-valued with a configurable boundary tolerance.
 """
 
 from __future__ import annotations
@@ -175,15 +176,21 @@ def disk(center, radius: float) -> Disk:
     return Disk(center=c, radius=float(radius))
 
 
+def _pow2_scale(*coords) -> float:
+    """The power of two s with max |coords| < 2 s: dividing by it is exact
+    and leaves every coordinate below 2 in magnitude."""
+    top = max(float(np.max(np.abs(c))) for c in coords)
+    return math.ldexp(1.0, math.frexp(top)[1] - 1)
+
+
 def _shoelace(verts: np.ndarray):
     """(s, u, w, cross): the shoelace terms of a polygon, free of overflow.
 
-    s is a power of two with max |verts| < 2 s, u the vertices minus the
-    first vertex in units of s (so |u| < 4 and the scaling is exact), w the
-    next vertex of each row of u, and cross = u x w, whose sum is twice the
-    signed area in units of s * s.
+    s is _pow2_scale(verts), u the vertices minus the first vertex in units
+    of s (so |u| < 4), w the next vertex of each row of u, and cross = u x w,
+    whose sum is twice the signed area in units of s * s.
     """
-    s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(verts))))[1] - 1)
+    s = _pow2_scale(verts)
     u = verts / s
     u = u - u[0]
     w = np.roll(u, -1, axis=0)
@@ -392,8 +399,16 @@ def _tube_pieces(V: np.ndarray, eps: float) -> _Pieces:
     return _piece_table(*(np.array(col, dtype=float) for col in zip(*rows)))
 
 
+def _query_scale(verts: np.ndarray) -> float:
+    """_pow2_scale(verts), but never below 1: query points are only ever
+    scaled down, so a far point cannot overflow where it did not before."""
+    return max(1.0, _pow2_scale(verts))
+
+
 def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Distance from each point to a polyline given by its vertices."""
+    s = _query_scale(poly)
+    pts, poly = pts / s, poly / s
     a = poly[:-1]
     b = poly[1:]
     ab = b - a
@@ -402,7 +417,7 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     t = np.clip(np.einsum("pse,se->ps", pa, ab) / ab2[None, :], 0.0, 1.0)
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
     dist = np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
-    return np.min(dist, axis=1)
+    return s * np.min(dist, axis=1)
 
 
 def _validate_tube_pieces(pc: _Pieces, spine, eps) -> None:
@@ -464,12 +479,14 @@ def area(domain) -> float:
         return 0.5 * float(np.sum(cross)) * s * s  # inf, not a warning, past 1e308
     if isinstance(domain, Tube):
         pc = domain.pieces
-        r, cx, cy = pc.radius, pc.a[:, 0], pc.a[:, 1]
-        seg = 0.5 * (pc.a[:, 0] * pc.b[:, 1] - pc.b[:, 0] * pc.a[:, 1])
+        s = _pow2_scale(pc.a, pc.b, pc.radius)
+        a, b, r = pc.a / s, pc.b / s, pc.radius / s
+        cx, cy = a[:, 0], a[:, 1]
+        seg = 0.5 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
         arc = 0.5 * (r * r * (pc.t1 - pc.t0)
                      + cx * r * (np.sin(pc.t1) - np.sin(pc.t0))
                      - cy * r * (np.cos(pc.t1) - np.cos(pc.t0)))
-        return float(np.cumsum(np.where(r > 0.0, arc, seg))[-1])
+        return float(np.cumsum(np.where(r > 0.0, arc, seg))[-1]) * s * s
     raise GeometryError(f"not a domain: {domain!r}")
 
 
@@ -487,10 +504,11 @@ def centroid(domain) -> np.ndarray:
         c = ((u + w) * cross[:, None]).sum(axis=0) / (3.0 * np.sum(cross))
         return domain.vertices[0] + s * c
     if isinstance(domain, Tube):
-        s = domain.spine
-        mid = 0.5 * (s[:-1] + s[1:])
-        L = np.hypot(*(s[1:] - s[:-1]).T)
-        return (mid * L[:, None]).sum(axis=0) / L.sum()
+        s = _pow2_scale(domain.spine)
+        v = domain.spine / s
+        mid = 0.5 * (v[:-1] + v[1:])
+        L = np.hypot(*(v[1:] - v[:-1]).T)
+        return s * ((mid * L[:, None]).sum(axis=0) / L.sum())
     raise GeometryError(f"not a domain: {domain!r}")
 
 
@@ -573,6 +591,8 @@ def boundary_distance(domain, points) -> np.ndarray:
 
 def _crossing_inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Even-odd ray casting (horizontal ray to +infinity)."""
+    s = _query_scale(verts)
+    verts, pts = verts / s, pts / s
     x = pts[:, 0:1]
     y = pts[:, 1:2]
     x1 = verts[None, :, 0]

@@ -280,9 +280,12 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     Returns (wave, report) where the report is computed on an independent
     validation sampling four times denser than (and disjoint from) the
     collocation. residual_max above FAIL_THRESHOLD * |c0| raises
-    FitFailedError; this is the expected outcome when k^2 sits at a
-    Dirichlet eigenvalue of the domain. The fit does not gate; a caller
-    that needs k^2 below the first eigenvalue checks the gate itself.
+    FitFailedError, which carries the wave and its report; this is the
+    expected outcome when k^2 sits at a Dirichlet eigenvalue of the domain,
+    and common near a reentrant corner. The CLI certifies that wave all the
+    same (its certificate is a proof for any wave) and reports the miss as
+    fit.converged false. The fit does not gate; a caller that needs k^2
+    below the first eigenvalue checks the gate itself.
 
     The default mode "auto" selects a truncated-SVD threshold from a
     ladder, trading a marginally larger misfit for a much smaller

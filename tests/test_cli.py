@@ -35,6 +35,11 @@ def files(tmp_path):
     dump("huge_L2.json", {"type": "polygon",
                           "vertices": [[0, 0], [2e200, 0], [2e200, 1e200], [1e200, 1e200],
                                        [1e200, 2e200], [0, 2e200]]})
+    dump("huge_tube.json", {"type": "tube", "spine": [[0, 0], [1e200, 0]], "epsilon": 1e199})
+    dump("huge_targets.json", {"points": [[5e199, 5e199]]})
+    dump("spine_targets.json", {"points": [[5e199, 0]]})
+    dump("origin.json", {"points": [[0, 0]]})
+    dump("far_out.json", {"points": [[1e300, 0]]})
     dump("L2.json", {"type": "polygon",
                      "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
     paths["tmp"] = tmp_path
@@ -78,6 +83,7 @@ def test_positive_boundary_disk(files):
     rep = load(out)
     assert rep["certificate"]["certified"] is True
     assert rep["gate"]["passes"] is True
+    assert rep["fit"]["converged"] is True
     assert all(c["passed"] for c in rep["checks"])
     w = load(wave)
     assert w["a0"] == pytest.approx(1.0 / special.jv(0, 1.0), abs=1e-10)
@@ -87,22 +93,46 @@ def test_positive_boundary_disk(files):
 
 
 def test_positive_boundary_eigenvalue_disk_exit3(files):
+    # the counterexample disk: no wave is positive on its boundary, so the
+    # certificate fails on the wave of the unconverged fit
     out = str(files["tmp"] / "rep.json")
     code = run(["positive-boundary", "--domain", files["eigendisk.json"],
                 "--k", "1", "--max-order", "20", "--out", out])
     assert code == 3
     rep = load(out)
+    assert rep["certificate"]["certified"] is False
+    assert rep["fit"]["converged"] is False
     assert rep["fit"]["residual_max"] >= 0.5
-    assert "error" in rep
+    assert "error" not in rep
 
 
-def test_positive_boundary_gate_failure_exit2(files):
+@pytest.mark.parametrize("k, code", [
+    pytest.param("10", 3, id="k10-exit3"),
+    # area 1.2 times the gate threshold, yet the certificate proves the wave positive
+    pytest.param("4.669", 0, id="k4.669-exit0"),
+    # the (1,1) Dirichlet eigenvalue of the square: the fit does not converge
+    pytest.param(repr(math.pi * math.sqrt(2.0)), 3, id="k-pi-sqrt2-exit3"),
+])
+def test_positive_boundary_gate_is_reported_not_enforced(files, k, code):
     out = str(files["tmp"] / "rep.json")
-    code = run(["positive-boundary", "--domain", files["square.json"],
-                "--k", "10", "--out", out])
-    assert code == 2
+    assert run(["positive-boundary", "--domain", files["square.json"],
+                "--k", k, "--out", out]) == code
     rep = load(out)
     assert rep["gate"]["passes"] is False
+    assert rep["certificate"]["certified"] is (code == 0)
+    assert "error" not in rep
+
+
+def test_positive_boundary_reentrant_L_certifies_unconverged_fit(files):
+    # the fit misses c0 near the reentrant corner, and its wave is still positive
+    out = str(files["tmp"] / "rep.json")
+    code = run(["positive-boundary", "--domain", files["L2.json"], "--k", "1.5",
+                "--out", out])
+    assert code == 0
+    rep = load(out)
+    assert rep["fit"]["converged"] is False
+    assert rep["fit"]["residual_max"] > 0.05
+    assert rep["certificate"]["certified_margin"] > 0.5
 
 
 def test_bad_domain_json_exit4(files, capsys):
@@ -136,8 +166,8 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-set", "--max-order", "100000"],
     ["counterexample", "--m", "100000"],
     ["counterexample", "--r-scale", "1e300"],
-    ["positive-boundary", "--k", "1e6", "--override-gate"],
-    ["positive-boundary", "--k", "1e4", "--override-gate", "--max-order", "20"],
+    ["positive-boundary", "--k", "1e6"],
+    ["positive-boundary", "--k", "1e4", "--max-order", "20"],
     ["scan-k", "--k-max", "1e6", "--k-min", "1"],
     # a negative seed is no numpy seed
     ["positive-boundary", "--seed", "-1"],
@@ -158,6 +188,8 @@ def test_bad_domain_json_exit4(files, capsys):
     ["scan-k", "--steps", "1000000000000", "--k-min", "0.5", "--k-max", "3"],
     # a flag the command does not read is a usage error
     ["positive-boundary", "--boundary-tol", "1e-9"],
+    # no command has a gate to override
+    ["positive-boundary", "--override-gate"],
     ["positive-set", "--override-gate"],
     ["counterexample", "--domain", "square.json"],
     ["counterexample", "--n-col", "5", "--max-order", "3"],
@@ -201,7 +233,7 @@ def test_each_command_takes_only_the_flags_it_reads():
     fit = "--c0 --max-order --mode "
     table = {
         "positive-boundary": "--domain --k " + fit + "--n-col --samples --seed "
-                             "--override-gate --csv --wave --out",
+                             "--csv --wave --out",
         # --samples is kept though no code reads it
         "positive-set": "--domain --k " + fit + "--n-col --samples --seed "
                         "--boundary-tol --csv --wave --out --target --epsilon",
@@ -211,7 +243,7 @@ def test_each_command_takes_only_the_flags_it_reads():
     }
     flags = subcommand_flags()
     assert flags == {command: set(names.split()) for command, names in table.items()}
-    assert sum(map(len, flags.values())) == 47
+    assert sum(map(len, flags.values())) == 46
 
 
 def test_wave_count_cap():
@@ -287,21 +319,25 @@ def test_positive_set_polygon_domain(files):
     assert rep["certificate"]["min_sample"] > 1.0
 
 
-def test_positive_set_reentrant_L_exit3(files, capsys):
-    # at k 1 the boundary fit misses c0 near the reentrant corner: a fit failure,
-    # not bad input; at k 0.5 the same fit certifies the targets
+def test_positive_set_reentrant_L_certifies_unconverged_fit(files, capsys):
+    # at k 1 the boundary fit misses c0 near the reentrant corner, yet its wave
+    # is certified on the targets; at k 0.5 the fit converges
     out = str(files["tmp"] / "L2_set.json")
     targets = files["tmp"] / "L2_targets.json"
     targets.write_text(json.dumps({"points": [[0.5, 0.5], [1.5, 0.5], [0.5, 1.5]]}))
     argv = ["positive-set", "--domain", files["L2.json"], "--target", str(targets),
             "--out", out]
-    assert run(argv + ["--k", "1"]) == 3
+    assert run(argv + ["--k", "1"]) == 0
     rep = load(out)
-    assert rep["error"].startswith("boundary fit failed")
+    assert rep["fit"]["converged"] is False
     assert rep["fit"]["residual_max"] > 0.05
-    assert "input error" not in capsys.readouterr().err
+    assert rep["certificate"]["certified_margin"] > 1.0
+    assert "error" not in rep
+    assert capsys.readouterr().err == ""
     assert run(argv + ["--k", "0.5"]) == 0
-    assert load(out)["certificate"]["certified_margin"] > 1.0
+    rep = load(out)
+    assert rep["fit"]["converged"] is True
+    assert rep["certificate"]["certified_margin"] > 1.0
 
 
 @pytest.mark.parametrize("points, domain, k", [
@@ -409,18 +445,35 @@ def test_tiny_k_report_is_strict_json(files, capsys):
     assert capsys.readouterr().err == ""
 
 
-def _extreme(argv, code, passes):
-    return pytest.param(argv, code, passes, id=f"{' '.join(argv)}-{code}")
+def _extreme(argv, code, passes, error=None):
+    return pytest.param(argv, code, passes, error, id=f"{' '.join(argv)}-{code}")
 
 
-@pytest.mark.parametrize("argv, code, passes", [
-    # pi R^2 overflows: the gate fails on an infinite area
-    _extreme(["positive-boundary", "--domain", "huge_disk.json"], 2, False),
-    # pi R^2 and pi (j01/k)^2 both overflow, yet k R = 120 > j01: the radii decide
-    _extreme(["positive-boundary", "--domain", "giant_disk.json", "--k", "1e-300"], 2, False),
-    # the shoelace terms, not just the area, overflow: a polygon, not degenerate
-    _extreme(["positive-boundary", "--domain", "huge_square.json"], 2, False),
-    _extreme(["positive-boundary", "--domain", "huge_L2.json"], 2, False),
+@pytest.mark.parametrize("argv, code, passes, error", [
+    # k R is far above the order cap: one input error, no report
+    _extreme(["positive-boundary", "--domain", "huge_disk.json"], 4, None, "above the cap"),
+    _extreme(["positive-boundary", "--domain", "huge_square.json"], 4, None, "above the cap"),
+    _extreme(["positive-boundary", "--domain", "huge_L2.json"], 4, None, "above the cap"),
+    _extreme(["positive-boundary", "--domain", "huge_tube.json"], 4, None, "above the cap"),
+    # pi R^2 and pi (j01/k)^2 both overflow, yet k R = 120 > j01: the radii decide,
+    # and positive-boundary reports the failing gate and certifies all the same
+    _extreme(["positive-boundary", "--domain", "giant_disk.json", "--k", "1e-300"], 3, False),
+    _extreme(["positive-set", "--domain", "giant_disk.json", "--target", "origin.json",
+              "--k", "1e-300"], 2, False),
+    # pi R^2 overflows: positive-set's gate fails on an infinite area
+    _extreme(["positive-set", "--domain", "huge_disk.json", "--target", "huge_targets.json"],
+             2, False),
+    # the shoelace terms, distances and ray crossings, not just the area, overflow
+    _extreme(["positive-set", "--domain", "huge_square.json", "--target", "huge_targets.json"],
+             2, False),
+    _extreme(["positive-set", "--domain", "huge_L2.json", "--target", "huge_targets.json"],
+             2, False),
+    # the target lies on the spine: its distance to the spine is 0, not NaN
+    _extreme(["positive-set", "--domain", "huge_tube.json", "--target", "spine_targets.json"],
+             2, False),
+    # the domain's scale, not the target's, sets the units: a far target is outside
+    _extreme(["positive-set", "--domain", "square.json", "--target", "far_out.json"],
+             4, None, "strictly inside"),
     # R = j01 / k: pi R^2 overflows, then underflows to 0 (lambda_1 bound inf)
     _extreme(["counterexample", "--k", "1e-300", "--n-waves", "4"], 0, True),
     _extreme(["counterexample", "--k", "1e300", "--n-waves", "4"], 0, True),
@@ -428,18 +481,24 @@ def _extreme(argv, code, passes):
     # counterexample reports the gate but does not stop at it
     _extreme(["counterexample", "--k", "1e-300", "--r-scale", "50", "--n-waves", "4"], 0, False),
 ])
-def test_extreme_scales_exit_cleanly(files, capsys, argv, code, passes):
+def test_extreme_scales_exit_cleanly(files, capsys, argv, code, passes, error):
     # no traceback and no numpy warning (pytest makes warnings errors)
-    out = str(files["tmp"] / "extreme.json")
+    out = files["tmp"] / "extreme.json"
     argv = [files.get(a, a) for a in argv]
-    assert run(argv + ["--out", out]) == code
-    gate = load_strict(out)["gate"]
-    assert gate["passes"] is passes
-    assert capsys.readouterr().err == ""
+    assert run(argv + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if error is None:
+        assert load_strict(out)["gate"]["passes"] is passes
+        assert err == ""
+    else:
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error:") and error in lines[0]
+        assert not out.exists()
 
 
 def test_scan_k_report_is_strict_json(files):
-    # the L's fits fail above k = 0.5, so those rows have no margin
+    # the L's fits do not converge above k = 0.5, yet every row's wave is
+    # certified, so every row has a finite margin
     out = str(files["tmp"] / "scanL.json")
     csv = str(files["tmp"] / "scanL.csv")
     code = run(["scan-k", "--domain", files["L2.json"], "--k-min", "0.5",
@@ -447,9 +506,9 @@ def test_scan_k_report_is_strict_json(files):
     assert code == 0
     rows = load_strict(out)["rows"]
     assert len(rows) == 6
-    assert sum(v is None for row in rows for v in row) == 5
-    assert all(math.isfinite(v) for row in rows for v in row if v is not None)
-    assert Path(csv).read_text().count(",nan") == 5  # CSV keeps nan
+    assert all(v is not None and math.isfinite(v) for row in rows for v in row)
+    assert sum(row[2] > 0.05 for row in rows) == 5  # residual_max above the 5% test
+    assert "nan" not in Path(csv).read_text()
 
 
 def test_scan_k_empty_range_exit4(files):

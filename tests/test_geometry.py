@@ -229,6 +229,39 @@ def test_centroids():
     assert np.allclose(g.centroid(g.tube_of([[-1, 0], [1, 0]], 0.2)), [0, 0])
 
 
+@pytest.mark.parametrize("scale, offset", [
+    pytest.param(2.0 ** 500, 2.0 ** 15, id="2^500-offset-2^15"),
+    pytest.param(2.0 ** 660, 0.0, id="2^660"),
+])
+@pytest.mark.parametrize("shape", ["L", "bent-tube"])
+def test_measures_scale_exactly_by_powers_of_two(shape, scale, offset):
+    # products of raw coordinates overflow at these scales (an area of 2**1000
+    # from shoelace terms of 2**1030, distances and centroids near 1e199), but
+    # every measure works in units of the domain's own power of two
+    def make(f):
+        if shape == "L":
+            return g.polygon((np.asarray(L_SHAPE) + offset) * f)
+        return g.tube_of((np.array([[0, 0], [1, 0], [1, 1]]) + offset) * f, 0.2 * f)
+
+    small, big = make(1.0), make(scale)
+    pts = offset + np.random.default_rng(5).uniform(-1.5, 1.5, (200, 2))
+    assert g.area(big) == scale * scale * g.area(small)  # inf past 1e308
+    assert np.array_equal(g.centroid(big), scale * g.centroid(small))
+    assert np.array_equal(g.boundary_distance(big, pts * scale),
+                          scale * g.boundary_distance(small, pts))
+    assert np.array_equal(g.locate_points(big, pts * scale, tol=scale * 1e-9),
+                          g.locate_points(small, pts, tol=1e-9))
+
+
+def test_far_point_against_a_small_tube():
+    # the domain sets the units, but a query point is never scaled up: near
+    # the top of the float range it stays finite, and far outside
+    tube = g.tube_of([[0, 0], [0.25, 0]], 0.05)
+    far = [[0.1, 1e300], [0.1, -1.7e308]]
+    assert np.array_equal(g.locate_points(tube, far), [g.OUTSIDE, g.OUTSIDE])
+    assert g.boundary_distance(tube, far)[0] == pytest.approx(1e300)
+
+
 # --- boundary sampling ---------------------------------------------------------
 
 def test_disk_four_samples():
