@@ -70,7 +70,7 @@ class ZeroScan:
 
 #: Bound on the absolute error of one specfun.bessel_j_table value for
 #: orders up to 200 and arguments up to 300: the worst error measured against
-#: 30-digit mpmath over about 4,000 arguments is 1.4e-15.
+#: 30-digit mpmath over about 10,000 values is 1.2e-15.
 _TABLE_ERROR = 2e-15
 
 
@@ -78,16 +78,34 @@ def _certificate(wave: herglotz.FourierBesselWave, points: np.ndarray,
                  gap: float) -> PositivityCertificate:
     """Sampled minimum of the wave at `points`, less the Lipschitz and rounding terms.
 
-    A sample is the sum of 2M + 1 terms c J_m(kr) trig(m theta) with
-    |J_m| <= 1 (DLMF 10.14.1): each J_m carries at most the table's
-    error _TABLE_ERROR = 2e-15 and each term and partial sum at most eps of
-    relative rounding, so rounding = (2e-15 + (2M + 1) eps) ||c||_1 with
-    ||c||_1 = |a0| + sum |ac_m| + sum |as_m|.
+    `rounding` bounds the error of one sample of herglotz.eval_series at a
+    point p with r = |p - center| <= r_max, in units of eps = 2^-52 and of
+    ||c||_1 = |a0| + sum |ac_m| + sum |as_m|. Term m contributes
+    J_m(kr) Re((ac_m - i as_m) e^{i m phi}), whose size is at most
+    |ac_m| + |as_m| (|J_m| <= 1, DLMF 10.14.1), so each relative error
+    below is weighted by ||c||_1:
+
+    - the rounded offset p - center, radius (hypot), argument kr and unit
+      e^{i phi} = (x + i y) / r belong to a point p' with |p' - p| <=
+      2.5 eps r (a half eps per offset coordinate, 1.5 eps in kr, a rotation
+      of a half eps in the division); every term is k-Lipschitz, so
+      3 eps k r_max;
+    - each table value is within _TABLE_ERROR of J_m at p';
+    - the unit has modulus 1 within 1.5 eps and each of the m - 1 complex
+      products that form e^{i m phi} adds at most sqrt(5) eps, so the
+      power is off by at most m (sqrt(5) + 2) eps;
+    - ac_m cos + as_m sin and its product with J_m add 2 eps, and the
+      running sum of the M + 1 terms adds M eps.
+
+    With m <= M the sum is below
+    rounding = (_TABLE_ERROR + (7M + 4 + 3 k r_max) eps) ||c||_1.
     """
     values = herglotz.eval_series(wave, points)
     lip = wave.k * herglotz.density_l1_bound(wave)
     c1 = abs(wave.a0) + float(np.sum(np.abs(wave.cos_coeffs)) + np.sum(np.abs(wave.sin_coeffs)))
-    rounding = (_TABLE_ERROR + (2 * wave.M + 1) * np.finfo(float).eps) * c1
+    reach = wave.k * float(np.max(np.hypot(points[:, 0] - wave.center[0],
+                                           points[:, 1] - wave.center[1])))
+    rounding = (_TABLE_ERROR + (7 * wave.M + 4 + 3 * reach) * np.finfo(float).eps) * c1
     i = int(np.argmin(values))
     margin = float(values[i]) - lip * gap / 2.0 - rounding
     return PositivityCertificate(

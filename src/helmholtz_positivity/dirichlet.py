@@ -342,6 +342,10 @@ def _scrambled_halton(perms, start: int, n: int) -> np.ndarray:
     return out.T
 
 
+#: halton_interior tries at most this many candidates.
+_MAX_CANDIDATES = 1 << 18
+
+
 def halton_interior(domain, n: int, seed: int = 42) -> np.ndarray:
     """n quasi-random points strictly inside the domain.
 
@@ -349,6 +353,9 @@ def halton_interior(domain, n: int, seed: int = 42) -> np.ndarray:
     Owen's random digit permutations, arXiv:1706.02808) over the bounding
     box and are kept when inside. The sequence equals
     scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed) point for point.
+    A domain that keeps fewer than n of the first _MAX_CANDIDATES (every
+    point of a strip thinner than twice geometry.BOUNDARY_TOL lies within
+    the tolerance of its boundary) raises GeometryError.
     """
     if n < 1:
         raise ValueError(f"need at least one interior point, got n={n}")
@@ -359,7 +366,11 @@ def halton_interior(domain, n: int, seed: int = 42) -> np.ndarray:
     out = []
     start, need = 0, n
     while need > 0:
-        batch = max(4 * need, 64)
+        if start >= _MAX_CANDIDATES:
+            raise geometry.GeometryError(
+                f"fewer than {n} of {start} quasi-random points in the bounding box lie "
+                "inside the domain (it may be thinner than the boundary tolerance)")
+        batch = min(max(4 * need, 64, start), 4096)  # doubles while few are kept
         cand = lo + _scrambled_halton(perms, start, batch) * (hi - lo)
         start += batch
         keep = cand[geometry.inside_mask(domain, cand)]

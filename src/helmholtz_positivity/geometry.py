@@ -414,10 +414,15 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     ab = b - a
     ab2 = np.sum(ab * ab, axis=1)
     pa = pts[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pse,se->ps", pa, ab) / ab2[None, :], 0.0, 1.0)
+    # t = pa.ab / |ab|^2 in [0, 1], clipped before the division so that a far
+    # point cannot overflow it; in sixteenths (exact) pa.ab stays finite, as
+    # |pa| < 2^1025 and |ab| < 8 in units of s
+    dot = np.einsum("pse,se->ps", pa / 16.0, ab)
+    t = np.clip(dot, 0.0, ab2 / 16.0) / (ab2 / 16.0)
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    dist = np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
-    return s * np.min(dist, axis=1)
+    with np.errstate(over="ignore"):  # a distance past the float range is inf
+        dist = np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
+        return s * np.min(dist, axis=1)
 
 
 def _validate_tube_pieces(pc: _Pieces, spine, eps) -> None:

@@ -144,34 +144,30 @@ def density_l1_bound(wave: FourierBesselWave) -> float:
                      + 0.5 * float(np.sum(wave.sin_coeffs ** 2)))
 
 
+def _bessel_and_unit(pts_rel: np.ndarray, k: float, M: int):
+    """J_0(kr) .. J_M(kr) as an (M + 1, N) table, and e^{i phi} = (x + i y) / r
+    (1 at r = 0), at each point (x, y) = r e^{i phi}."""
+    r = np.hypot(pts_rel[:, 0], pts_rel[:, 1])
+    z = pts_rel[:, 0] + 1j * pts_rel[:, 1]
+    return specfun.bessel_j_table(M, k * r), np.divide(z, r, out=np.ones_like(z), where=r > 0.0)
+
+
 def _basis_matrix(pts_rel: np.ndarray, k: float, M: int) -> np.ndarray:
     """Columns [J0, J1 cos, J1 sin, ..., JM cos, JM sin] at each point.
 
-    The Bessel values come from one recurrence table; cos(m phi) and
-    sin(m phi) are the real and imaginary parts of the running product
-    e^{i m phi} = e^{i (m-1) phi} (x + i y) / r.
+    cos(m phi) and sin(m phi) are the real and imaginary parts of the
+    running product e^{i m phi} = e^{i (m-1) phi} e^{i phi}.
     """
-    r = np.hypot(pts_rel[:, 0], pts_rel[:, 1])
-    J = specfun.bessel_j_table(M, k * r)
-    z = pts_rel[:, 0] + 1j * pts_rel[:, 1]
-    unit = np.divide(z, r, out=np.ones_like(z), where=r > 0.0)
-    powers = np.empty((M + 1, len(r)), dtype=complex)
+    J, unit = _bessel_and_unit(pts_rel, k, M)
+    powers = np.empty((M + 1, len(unit)), dtype=complex)
     powers[0] = 1.0
     for m in range(1, M + 1):
         np.multiply(powers[m - 1], unit, out=powers[m])
-    basis = np.empty((2 * M + 1, len(r)))
+    basis = np.empty((2 * M + 1, len(unit)))
     basis[0] = J[0]
     np.multiply(J[1:], powers[1:].real, out=basis[1::2])
     np.multiply(J[1:], powers[1:].imag, out=basis[2::2])
     return basis.T
-
-
-def _coef_vector(wave: FourierBesselWave) -> np.ndarray:
-    out = np.empty(2 * wave.M + 1)
-    out[0] = wave.a0
-    out[1::2] = wave.cos_coeffs
-    out[2::2] = wave.sin_coeffs
-    return out
 
 
 def _wave_from_coef(coef: np.ndarray, k: float, center) -> FourierBesselWave:
@@ -180,9 +176,27 @@ def _wave_from_coef(coef: np.ndarray, k: float, center) -> FourierBesselWave:
 
 
 def eval_series(wave: FourierBesselWave, pts) -> np.ndarray:
-    """Evaluate the Fourier-Bessel sum; real by construction."""
+    """Evaluate the Fourier-Bessel sum at each point; real by construction.
+
+    No basis matrix is built: the loop over m = 1..M advances e^{i m phi}
+    by the running product of _basis_matrix and adds
+    J_m(kr) (ac_m cos(m phi) + as_m sin(m phi)) into one N-vector, so the
+    work space past the J table is e^{i m phi} and three real N-vectors.
+    """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return _basis_matrix(pts - wave.center, wave.k, wave.M) @ _coef_vector(wave)
+    J, unit = _bessel_and_unit(pts - wave.center, wave.k, wave.M)
+    out = wave.a0 * J[0]
+    power = np.ones_like(unit)
+    term = np.empty(len(out))
+    part = np.empty(len(out))
+    for m, (ac, as_) in enumerate(zip(wave.cos_coeffs, wave.sin_coeffs), start=1):
+        power *= unit
+        np.multiply(power.real, ac, out=term)
+        np.multiply(power.imag, as_, out=part)
+        term += part
+        term *= J[m]
+        out += term
+    return out
 
 
 def eval_quadrature(density: HerglotzDensity, pts, n_quad: int | None = None) -> np.ndarray:

@@ -103,16 +103,54 @@ _RESCALE = 1e250
 _SERIES_X = 1e-30
 
 
+#: Significant digits the recurrence's start order aims at in J_0 .. J_M,
+#: and the orders added on top (Zhang & Jin's MSTA2 uses 15 and 10).
+_START_DIGITS = 16
+_START_PAD = 10
+
+
+def _envelope_digits(n: int, x: float) -> float:
+    """-log10 of the envelope (e x / 2n)^n / sqrt(2 pi n) of J_n(x), n >= 1
+    (Zhang & Jin, Computation of Special Functions, 1996, function ENVJ);
+    it increases with n once n > x / 2."""
+    return 0.5 * math.log10(6.28 * n) - n * math.log10(1.36 * x / n)
+
+
+def _start_order(M: int, x: float) -> int:
+    """Even start order of Miller's recurrence for J_0 .. J_M at arguments <= x.
+
+    Zhang & Jin's MSTA2: a start order N leaves J_n with a relative error
+    of about (J_N / J_n)^2, so N is the least order whose envelope lies
+    _START_DIGITS / 2 digits below that of J_M, and at least _START_DIGITS
+    digits below 1 where J_M is not yet small (that search starts at
+    1.1 x + 1, past the oscillatory range). Smaller arguments need no more
+    (the envelope falls faster in n), so the largest one sets the start.
+    """
+    x = max(x, _SERIES_X)
+    top = _envelope_digits(max(M, 1), x)
+    if top <= 0.5 * _START_DIGITS:
+        goal, lo = _START_DIGITS, int(1.1 * x) + 1
+    else:
+        goal, lo = 0.5 * _START_DIGITS + top, max(M, 1)
+    hi, step = lo, 1
+    while _envelope_digits(hi, x) < goal:  # doubling, then bisection
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _envelope_digits(mid, x) < goal else (lo, mid)
+    start = hi + _START_PAD
+    return start + start % 2
+
+
 def bessel_j_table(M: int, x) -> np.ndarray:
     """J_0(x) .. J_M(x) at every x >= 0, as an (M + 1, len(x)) array.
 
     Miller's backward recurrence J_{n-1} = (2n/x) J_n - J_{n+1} (DLMF
-    10.74(iv)) runs from an even start order far above max(M, x), where
-    J_n is negligible, down to order 0, and is normalised by
-    J_0 + 2 (J_2 + J_4 + ...) = 1 (DLMF 10.12.4). One step multiplies the
-    size of a column by at most 2n/x + 1; once that bound passes 1e250,
-    every column above 1 is divided by its own size, so the growth at
-    small x cannot overflow. Below x = 1e-30 (x = 0 included) the leading
+    10.74(iv)) runs from the even start order of _start_order(M, max x)
+    down to order 0, and is normalised by J_0 + 2 (J_2 + J_4 + ...) = 1
+    (DLMF 10.12.4). One step multiplies the size of a column by at most
+    2n/x + 1; once that bound passes 1e250, every column above 1 is
+    divided by its own size, so the growth at small x cannot overflow. Below x = 1e-30 (x = 0 included) the leading
     series term is exact and is used instead.
     """
     M = int(M)
@@ -124,9 +162,7 @@ def bessel_j_table(M: int, x) -> np.ndarray:
     table = np.empty((M + 1, len(x)))
     if len(x) == 0:
         return table
-    top = max(M, float(x.max()))
-    start = int(math.ceil(top + 30.0 + math.sqrt(160.0 * top)))
-    start += start % 2
+    start = _start_order(M, float(x.max()))
     series = x < _SERIES_X
     two_over_x = 2.0 / np.where(series, 1.0, x)
     growth = float(two_over_x.max())

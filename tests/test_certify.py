@@ -85,11 +85,38 @@ def test_finite_set_margin_equals_min():
 
 def test_rounding_term_enters_margin():
     wave = hg.random_wave(12, 1.0, np.random.default_rng(9))
-    cert = cf.certify_positive(wave, g.sample_boundary(SQUARE, 256))
+    sampling = g.sample_boundary(SQUARE, 256)
+    cert = cf.certify_positive(wave, sampling)
     c1 = abs(wave.a0) + np.sum(np.abs(wave.cos_coeffs)) + np.sum(np.abs(wave.sin_coeffs))
-    assert cert.rounding == pytest.approx((2e-15 + 25 * np.finfo(float).eps) * c1, rel=1e-12)
+    reach = np.max(np.hypot(sampling.points[:, 0], sampling.points[:, 1]))  # k = 1
+    assert reach == pytest.approx(math.sqrt(0.5))
+    expected = (2e-15 + (7 * 12 + 4 + 3 * reach) * np.finfo(float).eps) * c1
+    assert cert.rounding == pytest.approx(expected, rel=1e-12)
     assert cert.certified_margin == (cert.min_sample - cert.lipschitz_bound * cert.max_gap / 2.0
                                      - cert.rounding)
+
+
+@pytest.mark.parametrize("M", [14, 40, 100, 200])
+def test_rounding_bounds_the_evaluation_error(M):
+    # eval_series against the same sum at 40 digits, at points with kr from
+    # 0 to M: the error stays within the certificate's rounding term
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(M)
+    wave = hg.random_wave(M, 1.3, rng, center=(0.25, -0.5))
+    radius = np.concatenate([[0.0, 1e-3], rng.uniform(0.0, M / 1.3, 5), [M / 1.3]])
+    angle = rng.uniform(0.0, 2.0 * math.pi, len(radius))
+    pts = wave.center + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    got = hg.eval_series(wave, pts)
+    rounding = cf.certify_positive_on_set(wave, g.target_set(pts)).rounding
+    with mpmath.workdps(40):
+        for p, value in zip(pts, got):
+            dx, dy = mpmath.mpf(p[0]) - wave.center[0], mpmath.mpf(p[1]) - wave.center[1]
+            x, phi = wave.k * mpmath.hypot(dx, dy), mpmath.atan2(dy, dx)
+            exact = wave.a0 * mpmath.besselj(0, x) + mpmath.fsum(
+                mpmath.besselj(m, x) * (wave.cos_coeffs[m - 1] * mpmath.cos(m * phi)
+                                        + wave.sin_coeffs[m - 1] * mpmath.sin(m * phi))
+                for m in range(1, M + 1))
+            assert abs(value - float(exact)) <= rounding
 
 
 def test_set_on_zero_circle_not_certified():

@@ -38,6 +38,11 @@ def files(tmp_path):
     dump("huge_tube.json", {"type": "tube", "spine": [[0, 0], [1e200, 0]], "epsilon": 1e199})
     dump("huge_targets.json", {"points": [[5e199, 5e199]]})
     dump("spine_targets.json", {"points": [[5e199, 0]]})
+    dump("quarter_square.json", {"type": "polygon",
+                                 "vertices": [[0, 0], [0.25, 0], [0.25, 0.25], [0, 0.25]]})
+    dump("float_edge_targets.json", {"points": [[0.1, 0.1], [0.1, -1.7e308]]})
+    dump("strip13.json", {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1e-13], [0, 1e-13]]})
+    dump("strip11.json", {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1e-11], [0, 1e-11]]})
     dump("origin.json", {"points": [[0, 0]]})
     dump("far_out.json", {"points": [[1e300, 0]]})
     dump("L2.json", {"type": "polygon",
@@ -474,6 +479,13 @@ def _extreme(argv, code, passes, error=None):
     # the domain's scale, not the target's, sets the units: a far target is outside
     _extreme(["positive-set", "--domain", "square.json", "--target", "far_out.json"],
              4, None, "strictly inside"),
+    # pa.ab / |ab|^2 of a target near the float limit does not overflow
+    _extreme(["positive-set", "--domain", "quarter_square.json",
+              "--target", "float_edge_targets.json"], 4, None, "strictly inside"),
+    # no interior point of the strip is farther than BOUNDARY_TOL from its
+    # boundary: the mean-value check's point search gives up
+    _extreme(["positive-boundary", "--domain", "strip13.json"], 4, None, "boundary tolerance"),
+    _extreme(["positive-boundary", "--domain", "strip11.json"], 0, True),
     # R = j01 / k: pi R^2 overflows, then underflows to 0 (lambda_1 bound inf)
     _extreme(["counterexample", "--k", "1e-300", "--n-waves", "4"], 0, True),
     _extreme(["counterexample", "--k", "1e300", "--n-waves", "4"], 0, True),

@@ -264,3 +264,12 @@ def test_halton_interior_inside_and_deterministic():
 def test_halton_interior_rejects_empty_request(n):
     with pytest.raises(ValueError):
         dr.halton_interior(SQUARE, n)
+
+
+def test_halton_interior_gives_up_on_a_strip_thinner_than_the_tolerance():
+    # every point of a 1e-13 strip lies within BOUNDARY_TOL = 1e-12 of its
+    # boundary: the candidate search stops with GeometryError
+    with pytest.raises(g.GeometryError, match="boundary tolerance"):
+        dr.halton_interior(g.polygon([[0, 0], [1, 0], [1, 1e-13], [0, 1e-13]]), 10)
+    strip = g.polygon([[0, 0], [1, 0], [1, 1e-11], [0, 1e-11]])
+    assert np.all(g.inside_mask(strip, dr.halton_interior(strip, 10)))

@@ -262,6 +262,18 @@ def test_far_point_against_a_small_tube():
     assert g.boundary_distance(tube, far)[0] == pytest.approx(1e300)
 
 
+def test_far_point_distance_does_not_overflow():
+    # pa.ab / |ab|^2 is clipped before it is divided: no overflow warning
+    # (pytest makes warnings errors), and a distance past the float range is inf
+    square = g.polygon([[0, 0], [0.25, 0], [0.25, 0.25], [0, 0.25]])
+    far = [[0.1, -1.7e308], [-1.7e308, 0.1], [1.7e308, 1.7e308]]
+    assert np.array_equal(g.locate_points(square, far), [g.OUTSIDE] * 3)
+    dist = g.boundary_distance(square, far)
+    assert dist[0] == 1.7e308 and dist[1] == 1.7e308 and dist[2] == math.inf
+    near = np.array([[0.1, -2.0], [0.3, 0.1], [0.1, 0.2]])
+    assert g.boundary_distance(square, near) == pytest.approx([2.0, 0.05, 0.05])
+
+
 # --- boundary sampling ---------------------------------------------------------
 
 def test_disk_four_samples():

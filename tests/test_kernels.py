@@ -69,6 +69,19 @@ def test_basis_matrix_matches_direct_columns():
     assert np.max(np.abs(hg._basis_matrix(pts, k, M) - np.stack(cols, axis=1))) <= 5e-15
 
 
+def test_eval_series_matches_the_basis_matrix_product():
+    # eval_series adds the terms of the fits' basis times the coefficients
+    # without building the matrix; only the order of the sums differs
+    rng = np.random.default_rng(5)
+    wave = hg.random_wave(20, 1.7, rng, center=(0.3, -0.2))
+    pts = rng.uniform(-4.0, 4.0, (300, 2))
+    pts[0] = wave.center
+    coef = np.concatenate([[wave.a0], np.stack([wave.cos_coeffs, wave.sin_coeffs], 1).ravel()])
+    ref = hg._basis_matrix(pts - wave.center, wave.k, wave.M) @ coef
+    tol = 4 * (2 * wave.M + 1) * np.finfo(float).eps * np.sum(np.abs(coef))
+    assert np.max(np.abs(hg.eval_series(wave, pts) - ref)) <= tol
+
+
 def test_fundamental_kernel_matches_hankel1():
     rng = np.random.default_rng(8)
     targets = rng.uniform(-1.0, 1.0, (60, 2))

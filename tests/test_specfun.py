@@ -120,6 +120,21 @@ def test_bessel_table_error_within_certificate_bound():
     assert err <= cf._TABLE_ERROR
 
 
+@pytest.mark.parametrize("M", [0, 1, 5, 13, 20, 30, 50, 100, 200])
+def test_bessel_table_start_order_keeps_error_within_bound(M):
+    # one table per argument, so the start order is set by M and that x;
+    # it never exceeds the former fixed rule top + 30 + sqrt(160 top)
+    mpmath = pytest.importorskip("mpmath")
+    for x in sorted({1e-3, 0.1, 1.0, max(M - 10.0, 1e-3), float(M), 1.5 * M} - {0.0}):
+        top = max(M, x)
+        former = math.ceil(top + 30.0 + math.sqrt(160.0 * top))
+        assert sf._start_order(M, x) <= former + former % 2
+        J = sf.bessel_j_table(M, [x])[:, 0]
+        with mpmath.workdps(30):
+            err = max(abs(J[n] - float(mpmath.besselj(n, x))) for n in range(M + 1))
+        assert err <= cf._TABLE_ERROR, (M, x)
+
+
 # --- identities --------------------------------------------------------------
 
 def test_three_term_recurrence():
