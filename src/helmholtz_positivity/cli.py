@@ -14,6 +14,10 @@ The commands decide the spectral gate (herglotz.fit_boundary only fits), both
 certifying commands end in one fit-and-certify tail (_certified), and each
 subcommand declares only the flags it reads (_COMMANDS).
 
+Each command makes one unit decision (_in_units): gate, fit, certificate and
+checks run on the domain divided by its power of two s, at k * s, and reported
+lengths are scaled back exactly (the checks report in the copy's units).
+
 Exit codes: 0 success/certified, 2 positive-set's gate (failed, or at its
 equality case), 3 a certificate that does not certify, 4 input error (usage
 errors too). The certificate alone decides between 0 and 3: a fit that misses
@@ -90,15 +94,24 @@ def _write_csv(rows, header, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _gate_dict(gate: dirichlet.SpectralGate) -> dict:
+def _gate_dict(gate: dirichlet.SpectralGate, s: float) -> dict:
+    """A unit copy's gate in the user's units, as Python floats (no warnings)."""
     return {
-        "k": gate.k,
-        "area_d": gate.area_d,
-        "r_star": gate.r_star,
-        "area_threshold": gate.area_threshold,
-        "lambda1_lower_bound": gate.lambda1_lower_bound,
+        "k": gate.k / s,
+        "area_d": gate.area_d * s * s,
+        "r_star": float(gate.r_star) * s,
+        "area_threshold": gate.area_threshold * s * s,
+        "lambda1_lower_bound": float(gate.lambda1_lower_bound) / s / s,
         "passes": gate.passes,
     }
+
+
+def _in_units(domain, k: float):
+    """(domain / s, s, k * s), with s the domain's power of two (geometry.in_units)."""
+    domain, s = geometry.in_units(domain)
+    if k * s == 0.0:
+        raise InputError(f"k = {k:g} underflows in the units of the domain (s = {s:g})")
+    return domain, s, k * s
 
 
 # ---------------------------------------------------------------------------
@@ -153,35 +166,33 @@ def _standard_checks(wave, domain, k: float, seed: int) -> list:
 
 def cmd_positive_boundary(args) -> int:
     t0 = time.perf_counter()
-    domain = _load_domain_arg(args)
-    gate = dirichlet.faber_krahn_gate(domain, args.k)
-    report = {
-        "command": "positive-boundary",
-        "config": _config_echo(args),
-        "gate": _gate_dict(gate),
-    }
+    domain, s, k = _in_units(_load_domain_arg(args), args.k)
+    gate = dirichlet.faber_krahn_gate(domain, k)
+    report = {"command": "positive-boundary", "config": _config_echo(args),
+              "gate": _gate_dict(gate, s)}
     sampling = geometry.sample_boundary(domain, args.samples)
-    return _certified(report, domain, certify.certify_positive, sampling, args, t0)
+    return _certified(report, domain, s, k, certify.certify_positive, sampling, args, t0)
 
 
 def cmd_positive_set(args) -> int:
     t0 = time.perf_counter()
     targets = _load_targets_arg(args)
-    if args.domain:
-        domain = _load_domain_arg(args)
-    elif args.epsilon:
-        domain = geometry.tube_of(targets.points, args.epsilon)
-    else:
-        raise InputError("positive-set needs --domain, or --epsilon to build "
-                         "a tube around the target polyline")
+    if (args.domain is None) == (args.epsilon is None):
+        raise InputError("positive-set needs one of --domain and --epsilon (to build "
+                         "a tube around the target polyline)")
+    domain = (_load_domain_arg(args) if args.domain is not None
+              else geometry.tube_of(targets.points, args.epsilon))
+    domain, s, k = _in_units(domain, args.k)
     report = {"command": "positive-set", "config": _config_echo(args)}
 
-    codes = geometry.locate_points(domain, targets.points, tol=args.boundary_tol)
-    if np.any(codes != geometry.INSIDE):
+    with np.errstate(over="ignore"):  # a target past the float range in units is outside
+        points = targets.points / s
+    if not (np.all(np.isfinite(points))
+            and np.all(geometry.locate_points(domain, points) == geometry.INSIDE)):
         raise InputError("every target point must lie strictly inside the domain")
 
-    gate = dirichlet.faber_krahn_gate(domain, args.k)
-    report["gate"] = _gate_dict(gate)
+    gate = dirichlet.faber_krahn_gate(domain, k)
+    report["gate"] = _gate_dict(gate, s)
     if not gate.passes:
         report["error"] = "gate failed: domain area exceeds the threshold"
         _finish(report, t0, args)
@@ -192,7 +203,8 @@ def cmd_positive_set(args) -> int:
                            "pipeline requires strict inequality")
         _finish(report, t0, args)
         return EXIT_GATE
-    return _certified(report, domain, certify.certify_positive_on_set, targets, args, t0)
+    return _certified(report, domain, s, k, certify.certify_positive_on_set,
+                      geometry.TargetSet(points=points), args, t0)
 
 
 def _fit(domain, k: float, args, M, n_col=None):
@@ -205,26 +217,28 @@ def _fit(domain, k: float, args, M, n_col=None):
         return exc.wave, exc.report, False
 
 
-def _certified(report, domain, certify_on, where, args, t0) -> int:
-    """The tail of both certifying pipelines: fit c0 on the domain boundary,
-    certify the wave with certify_on(wave, where), then the checks, the
-    report, --wave, --csv (the values at where.points) and the exit code.
+def _certified(report, domain, s, k, certify_on, where, args, t0) -> int:
+    """The tail of both certifying pipelines on a unit copy (_in_units): fit c0
+    on the domain boundary, certify the wave with certify_on(wave, where), then
+    the checks, the report, --wave, --csv (values at where.points), exit code.
 
     The certificate is a proof for whatever wave it is given, so the wave of
     a fit that did not converge is certified too; the exit code is 0 or 3 by
     the certificate alone, and fit.converged records the fit's own test."""
-    M = _fit_order(args, args.k, domain, "--k and the domain")
-    wave, fit, converged = _fit(domain, args.k, args, M, n_col=args.n_col)
+    M = _fit_order(args, k, domain, "--k and the domain")
+    wave, fit, converged = _fit(domain, k, args, M, n_col=args.n_col)
     cert = certify_on(wave, where)
     report["fit"] = {**dataclasses.asdict(fit), "converged": converged}
-    report["certificate"] = dataclasses.asdict(cert)
-    report["checks"] = _standard_checks(wave, domain, args.k, args.seed)
+    report["certificate"] = dataclasses.asdict(dataclasses.replace(
+        cert, lipschitz_bound=cert.lipschitz_bound / s, max_gap=cert.max_gap * s,
+        min_point=tuple(np.multiply(cert.min_point, s))))
+    report["checks"] = _standard_checks(wave, domain, k, args.seed)
     if args.wave:
-        herglotz.save_wave(wave, args.wave)
+        herglotz.save_wave(dataclasses.replace(wave, k=wave.k / s, center=wave.center * s),
+                           args.wave)
     if args.csv:
-        points = where.points
-        values = herglotz.eval_series(wave, points)
-        _write_csv(zip(points[:, 0], points[:, 1], values), ("x", "y", "value"), args.csv)
+        values = herglotz.eval_series(wave, where.points)
+        _write_csv(zip(*(where.points * s).T, values), ("x", "y", "value"), args.csv)
     _finish(report, t0, args)
     return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
 
@@ -232,25 +246,20 @@ def _certified(report, domain, certify_on, where, args, t0) -> int:
 def cmd_counterexample(args) -> int:
     """Demonstrate the eigenvalue obstruction on the disk of radius j_{0,m}/k."""
     t0 = time.perf_counter()
-    k = args.k
-    radius = args.r_scale * specfun.bessel_zero(0, args.m) / k
-    domain = geometry.disk((0.0, 0.0), radius)
-    M = _fit_order(args, k, domain, "--r-scale and --m")
-    gate = dirichlet.faber_krahn_gate(domain, k)
-    report = {
-        "command": "counterexample",
-        "config": _config_echo(args),
-        "circle_radius": radius,
-        "gate": _gate_dict(gate),
-    }
-    _, fit, converged = _fit(domain, k, args, M)
+    radius = args.r_scale * specfun.bessel_zero(0, args.m) / args.k
+    domain, s, ks = _in_units(geometry.disk((0.0, 0.0), radius), args.k)
+    M = _fit_order(args, ks, domain, "--r-scale and --m")
+    gate = dirichlet.faber_krahn_gate(domain, ks)
+    report = {"command": "counterexample", "config": _config_echo(args),
+              "circle_radius": radius, "gate": _gate_dict(gate, s)}
+    _, fit, converged = _fit(domain, ks, args, M)
     report["fit_attempt"] = {"failed": not converged, **dataclasses.asdict(fit)}
 
     rng = np.random.default_rng(args.seed)
     n_change = 0
     max_flux_rel = 0.0
     for _ in range(args.n_waves):
-        w = herglotz.random_wave(10, k, rng)
+        w = herglotz.random_wave(10, args.k, rng)
         rep = certify.sign_change_on_circle(w, args.m, n_samples=1024)
         n_change += int(rep.changes_sign)
         max_flux_rel = max(max_flux_rel,
@@ -267,16 +276,17 @@ def cmd_counterexample(args) -> int:
 
 def cmd_scan_k(args) -> int:
     t0 = time.perf_counter()
-    domain = _load_domain_arg(args)
     if not 0.0 < args.k_min < args.k_max:
         raise InputError("need 0 < k-min < k-max")
-    _fit_order(args, args.k_max, domain, "--k-max and the domain")
+    domain, s, _ = _in_units(_load_domain_arg(args), args.k_min)  # the least k
+    _fit_order(args, args.k_max * s, domain, "--k-max and the domain")
     sampling = geometry.sample_boundary(domain, args.samples)
     rows = []
     for k in np.linspace(args.k_min, args.k_max, args.steps):
-        gate = dirichlet.faber_krahn_gate(domain, float(k))
+        ks = float(k) * s
+        gate = dirichlet.faber_krahn_gate(domain, ks)
         # every row's wave is certified, whether its fit converged or not
-        wave, fit, _ = _fit(domain, float(k), args, args.max_order)
+        wave, fit, _ = _fit(domain, ks, args, args.max_order)
         cert = certify.certify_positive(wave, sampling)
         rows.append((float(k), int(gate.passes), fit.residual_max, cert.certified_margin))
     _write_csv(rows, ("k", "gate_pass", "residual_max", "certified_margin"), args.csv)
@@ -471,8 +481,6 @@ _FLAGS = {
                       help="certificate boundary samples; positive-set ignores "
                            "it, as its certificate runs on the target points"),
     "--seed": dict(type=int, default=42, help="RNG seed"),
-    "--boundary-tol": dict(type=float, default=geometry.BOUNDARY_TOL,
-                           help="boundary classification tolerance"),
     "--csv": dict(help="CSV output path"),
     "--wave": dict(help="wave JSON output path"),
     "--out": dict(help="report JSON path"),
@@ -498,8 +506,8 @@ _COMMANDS = (
     # no code here reads --samples; it stays, as the README documents it
     ("positive-set", cmd_positive_set,
      "certify a wave positive on a compact target set",
-     ("--domain", "--k", *_FIT, "--n-col", "--samples", "--seed", "--boundary-tol",
-      "--csv", "--wave", "--out", "--target", "--epsilon")),
+     ("--domain", "--k", *_FIT, "--n-col", "--samples", "--seed", "--csv", "--wave",
+      "--out", "--target", "--epsilon")),
     ("counterexample", cmd_counterexample,
      "demonstrate the eigenvalue obstruction on a disk",
      ("--k", *_FIT, "--seed", "--out", "--m", "--r-scale", "--n-waves")),

@@ -353,9 +353,9 @@ def halton_interior(domain, n: int, seed: int = 42) -> np.ndarray:
     Owen's random digit permutations, arXiv:1706.02808) over the bounding
     box and are kept when inside. The sequence equals
     scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed) point for point.
-    A domain that keeps fewer than n of the first _MAX_CANDIDATES (every
-    point of a strip thinner than twice geometry.BOUNDARY_TOL lies within
-    the tolerance of its boundary) raises GeometryError.
+    A domain that keeps fewer than n of the first _MAX_CANDIDATES raises
+    GeometryError: no point of a strip thinner than twice BOUNDARY_TOL is
+    inside it, a width relative to the domain on the commands' unit copy.
     """
     if n < 1:
         raise ValueError(f"need at least one interior point, got n={n}")

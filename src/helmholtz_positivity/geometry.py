@@ -8,12 +8,12 @@ one row per piece: endpoints or centre, radius, sweep angles, length and
 the arclength where each piece starts. Polygons and disks build the table
 on each call; a tube builds it once. The table gives exact perimeters and
 areas (Green's theorem), arclength-uniform boundary sampling with outward
-normals by one `searchsorted`, and the joint arclengths. Areas, centroids,
-distances and ray casting work in units of a power of two taken from the
-domain's own coordinates (`_pow2_scale`), which is exact, so a huge domain
-gets an infinite area instead of an overflow; a polygon's area and centroid
-come from one shoelace on its vertices minus the first vertex. Containment
-is three-valued with a configurable boundary tolerance.
+normals by one `searchsorted`, and the joint arclengths. Containment is
+three-valued with a boundary tolerance. Scale is decided once: the commands
+run on `in_units`'s copy of a domain, divided by its power of two (exact
+unless a value is subnormal), and `polygon` and `tube_of` validate in the
+same units, so no other function needs scale logic and every tolerance is
+relative to the domain.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ __all__ = [
     "polygon",
     "tube_of",
     "target_set",
+    "in_units",
     "area",
     "perimeter",
     "centroid",
@@ -59,7 +60,7 @@ __all__ = [
     "load_targets",
 ]
 
-#: Points within this distance of the boundary are classified as "boundary".
+#: Points this near the boundary are "boundary"; relative on a unit copy (in_units).
 BOUNDARY_TOL = 1e-12
 
 INSIDE, BOUNDARY, OUTSIDE = 1, 0, -1
@@ -184,17 +185,11 @@ def _pow2_scale(*coords) -> float:
 
 
 def _shoelace(verts: np.ndarray):
-    """(s, u, w, cross): the shoelace terms of a polygon, free of overflow.
-
-    s is _pow2_scale(verts), u the vertices minus the first vertex in units
-    of s (so |u| < 4), w the next vertex of each row of u, and cross = u x w,
-    whose sum is twice the signed area in units of s * s.
-    """
-    s = _pow2_scale(verts)
-    u = verts / s
-    u = u - u[0]
+    """(u, w, cross): the vertices minus the first vertex, the next vertex of
+    each row of u, and cross = u x w, whose sum is twice the signed area."""
+    u = verts - verts[0]
     w = np.roll(u, -1, axis=0)
-    return s, u, w, u[:, 0] * w[:, 1] - w[:, 0] * u[:, 1]
+    return u, w, u[:, 0] * w[:, 1] - w[:, 0] * u[:, 1]
 
 
 def polygon(vertices) -> Polygon:
@@ -204,17 +199,15 @@ def polygon(vertices) -> Polygon:
         raise GeometryError("polygon needs an (n, 2) vertex array with n >= 3")
     if not np.all(np.isfinite(verts)):
         raise GeometryError("polygon vertices must be finite")
-    edge_len = np.hypot(*(np.roll(verts, -1, axis=0) - verts).T)
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    if np.any(edge_len <= 1e-14 * scale):
+    u = verts / _pow2_scale(verts)
+    if np.any(np.hypot(*(np.roll(u, -1, axis=0) - u).T) <= 1e-14):
         raise GeometryError("polygon has a zero-length edge")
-    s, _, _, cross = _shoelace(verts)
-    sa = 0.5 * float(np.sum(cross))  # in units of s * s, where it is finite
-    if abs(sa) <= 1e-14 * (scale / s) * (scale / s):
+    sa = 0.5 * float(np.sum(_shoelace(u)[2]))
+    if abs(sa) <= 1e-14:
         raise GeometryError("polygon is degenerate (zero area)")
     if sa < 0.0:
-        verts = verts[::-1].copy()
-    _require_simple(verts, closed=True)
+        verts, u = verts[::-1].copy(), u[::-1]
+    _require_simple(u, closed=True)
     return Polygon(vertices=verts)
 
 
@@ -247,16 +240,16 @@ def _require_simple(verts: np.ndarray, closed: bool) -> None:
     on those alone (sweep and prune): the edges are sorted by their lower
     x-bound, `searchsorted` lists each edge's x-overlapping successors, and
     the pairs whose y-intervals overlap too are tested. The pad holds the
-    1e-15 of `_in_box`, so every touching pair is a candidate, plus 1e-12
-    of the coordinate scale for rounding in the orientations of nearly
-    touching edges. Cost: O(n log n + candidate pairs). The candidates are
+    1e-15 of `_in_box`, so every touching pair is a candidate, plus 2e-12
+    for rounding in the orientations of nearly touching edges (vertices in
+    units are below 2). Cost: O(n log n + candidate pairs). The candidates are
     made in blocks of consecutive sorted edges holding at most
     `_SIMPLE_BLOCK` * n pairs each, so memory stays O(`_SIMPLE_BLOCK` * n)
     even when every x-interval overlaps every other.
     """
     m = len(verts) if closed else len(verts) - 1
     p, q = verts[:m], np.roll(verts, -1, axis=0)[:m]
-    pad = 1e-15 + 1e-12 * max(1.0, float(np.max(np.abs(verts))))
+    pad = 1e-15 + 2e-12
     lo, hi = np.minimum(p, q) - pad, np.maximum(p, q) + pad
     order = np.argsort(lo[:, 0], kind="stable")
     # sorted edges t + 1 .. ends[t] - 1 start left of edge order[t]'s right end
@@ -294,15 +287,6 @@ def _require_simple(verts: np.ndarray, closed: bool) -> None:
                             f"{first % m}; shape must be simple")
 
 
-def _dedupe_points(pts: np.ndarray) -> np.ndarray:
-    keep = [0]
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    for i in range(1, len(pts)):
-        if np.hypot(*(pts[i] - pts[keep[-1]])) > 1e-14 * scale:
-            keep.append(i)
-    return pts[keep]
-
-
 def tube_of(spine, epsilon: float):
     """Open epsilon-neighborhood of a polyline: {x : dist(x, spine) < epsilon}.
 
@@ -319,13 +303,16 @@ def tube_of(spine, epsilon: float):
         pts = pts.reshape(1, 2)
     if pts.shape[-1] != 2 or not np.all(np.isfinite(pts)):
         raise GeometryError("tube spine must be a finite (m, 2) array")
-    pts = _dedupe_points(pts)
+    s = _pow2_scale(pts, epsilon)
+    pts = pts[np.r_[True, np.hypot(*np.diff(pts / s, axis=0).T) > 1e-14]]  # distinct
     if len(pts) == 1:
         return disk(pts[0], epsilon)
-    _require_simple(pts, closed=False)
-    pieces = _tube_pieces(pts, float(epsilon))
-    _validate_tube_pieces(pieces, pts, float(epsilon))
-    return Tube(spine=pts, epsilon=float(epsilon), pieces=pieces)
+    u, eps = pts / s, epsilon / s
+    _require_simple(u, closed=False)
+    pieces = _tube_pieces(u, eps)
+    _validate_tube_pieces(pieces, u, eps)
+    return Tube(spine=pts, epsilon=float(epsilon), pieces=_piece_table(
+        pieces.a * s, pieces.b * s, pieces.radius * s, pieces.t0, pieces.t1))
 
 
 def _line_intersection(p, dp, q, dq):
@@ -384,7 +371,7 @@ def _tube_pieces(V: np.ndarray, eps: float) -> _Pieces:
         out = []
         for i in range(nseg):
             a, b = (starts[i], ends[i]) if forward else (ends[i], starts[i])
-            if np.hypot(*(b - a)) > 1e-14 * max(1.0, eps):
+            if np.hypot(*(b - a)) > 1e-14:
                 out.append((a, b, 0.0, 0.0, 0.0))
             if i < nseg - 1 and joins[i] is not None:
                 out.append(joins[i])
@@ -399,16 +386,8 @@ def _tube_pieces(V: np.ndarray, eps: float) -> _Pieces:
     return _piece_table(*(np.array(col, dtype=float) for col in zip(*rows)))
 
 
-def _query_scale(verts: np.ndarray) -> float:
-    """_pow2_scale(verts), but never below 1: query points are only ever
-    scaled down, so a far point cannot overflow where it did not before."""
-    return max(1.0, _pow2_scale(verts))
-
-
 def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Distance from each point to a polyline given by its vertices."""
-    s = _query_scale(poly)
-    pts, poly = pts / s, poly / s
     a = poly[:-1]
     b = poly[1:]
     ab = b - a
@@ -416,13 +395,13 @@ def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
     pa = pts[:, None, :] - a[None, :, :]
     # t = pa.ab / |ab|^2 in [0, 1], clipped before the division so that a far
     # point cannot overflow it; in sixteenths (exact) pa.ab stays finite, as
-    # |pa| < 2^1025 and |ab| < 8 in units of s
+    # |pa| < 2^1025 and, on a domain in units, |ab| < 8
     dot = np.einsum("pse,se->ps", pa / 16.0, ab)
     t = np.clip(dot, 0.0, ab2 / 16.0) / (ab2 / 16.0)
     proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
     with np.errstate(over="ignore"):  # a distance past the float range is inf
         dist = np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
-        return s * np.min(dist, axis=1)
+        return np.min(dist, axis=1)
 
 
 def _validate_tube_pieces(pc: _Pieces, spine, eps) -> None:
@@ -431,7 +410,7 @@ def _validate_tube_pieces(pc: _Pieces, spine, eps) -> None:
     j = np.arange(len(idx)) - np.repeat(np.cumsum(n) - n, n)  # index within piece
     allpts, _ = _piece_points(pc, idx, (j + 0.5) * (pc.length / n)[idx])
     dev = np.abs(_dist_to_polyline(allpts, spine) - eps)
-    if float(np.max(dev)) > 1e-9 * max(1.0, eps):
+    if float(np.max(dev)) > 1e-9:  # in units
         raise TubeOverlapError(
             "tube boundary self-overlaps (offset points are not at distance "
             "epsilon from the spine); reduce epsilon"
@@ -447,6 +426,23 @@ def target_set(points) -> TargetSet:
     if not np.all(np.isfinite(pts)):
         raise GeometryError("target points must be finite")
     return TargetSet(points=pts)
+
+
+def in_units(domain):
+    """(domain / s, s), with s the domain's power of two: the copy's samplings
+    times s are the domain's, bit for bit, unless a value is subnormal. A
+    tube's piece table is scaled, not validated again."""
+    if isinstance(domain, Polygon):
+        s = _pow2_scale(domain.vertices)
+        return Polygon(vertices=domain.vertices / s), s
+    if isinstance(domain, Disk):
+        s = _pow2_scale(domain.center, domain.radius)
+        return Disk(center=domain.center / s, radius=domain.radius / s), s
+    if isinstance(domain, Tube):
+        s, pc = _pow2_scale(domain.spine, domain.epsilon), domain.pieces
+        return Tube(spine=domain.spine / s, epsilon=domain.epsilon / s, pieces=_piece_table(
+            pc.a / s, pc.b / s, pc.radius / s, pc.t0, pc.t1)), s
+    raise GeometryError(f"not a domain: {domain!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +476,15 @@ def area(domain) -> float:
         # a Python float's ** raises OverflowError where * gives inf
         return math.pi * (domain.radius * domain.radius)
     if isinstance(domain, Polygon):
-        s, _, _, cross = _shoelace(domain.vertices)
-        return 0.5 * float(np.sum(cross)) * s * s  # inf, not a warning, past 1e308
+        return 0.5 * float(np.sum(_shoelace(domain.vertices)[2]))
     if isinstance(domain, Tube):
         pc = domain.pieces
-        s = _pow2_scale(pc.a, pc.b, pc.radius)
-        a, b, r = pc.a / s, pc.b / s, pc.radius / s
-        cx, cy = a[:, 0], a[:, 1]
+        a, b, r = pc.a, pc.b, pc.radius
         seg = 0.5 * (a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1])
         arc = 0.5 * (r * r * (pc.t1 - pc.t0)
-                     + cx * r * (np.sin(pc.t1) - np.sin(pc.t0))
-                     - cy * r * (np.cos(pc.t1) - np.cos(pc.t0)))
-        return float(np.cumsum(np.where(r > 0.0, arc, seg))[-1]) * s * s
+                     + a[:, 0] * r * (np.sin(pc.t1) - np.sin(pc.t0))
+                     - a[:, 1] * r * (np.cos(pc.t1) - np.cos(pc.t0)))
+        return float(np.cumsum(np.where(r > 0.0, arc, seg))[-1])
     raise GeometryError(f"not a domain: {domain!r}")
 
 
@@ -505,15 +498,13 @@ def centroid(domain) -> np.ndarray:
     if isinstance(domain, Disk):
         return domain.center.copy()
     if isinstance(domain, Polygon):
-        s, u, w, cross = _shoelace(domain.vertices)
-        c = ((u + w) * cross[:, None]).sum(axis=0) / (3.0 * np.sum(cross))
-        return domain.vertices[0] + s * c
+        u, w, cross = _shoelace(domain.vertices)
+        return domain.vertices[0] + ((u + w) * cross[:, None]).sum(axis=0) / (3 * np.sum(cross))
     if isinstance(domain, Tube):
-        s = _pow2_scale(domain.spine)
-        v = domain.spine / s
+        v = domain.spine
         mid = 0.5 * (v[:-1] + v[1:])
         L = np.hypot(*(v[1:] - v[:-1]).T)
-        return s * ((mid * L[:, None]).sum(axis=0) / L.sum())
+        return (mid * L[:, None]).sum(axis=0) / L.sum()
     raise GeometryError(f"not a domain: {domain!r}")
 
 
@@ -596,8 +587,6 @@ def boundary_distance(domain, points) -> np.ndarray:
 
 def _crossing_inside(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Even-odd ray casting (horizontal ray to +infinity)."""
-    s = _query_scale(verts)
-    verts, pts = verts / s, pts / s
     x = pts[:, 0:1]
     y = pts[:, 1:2]
     x1 = verts[None, :, 0]

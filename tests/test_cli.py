@@ -44,6 +44,7 @@ def files(tmp_path):
     dump("strip13.json", {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1e-13], [0, 1e-13]]})
     dump("strip11.json", {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1e-11], [0, 1e-11]]})
     dump("origin.json", {"points": [[0, 0]]})
+    dump("tiny_disk.json", {"type": "disk", "center": [0, 0], "radius": 1e-300})
     dump("far_out.json", {"points": [[1e300, 0]]})
     dump("L2.json", {"type": "polygon",
                      "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]})
@@ -193,6 +194,10 @@ def test_bad_domain_json_exit4(files, capsys):
     ["scan-k", "--steps", "1000000000000", "--k-min", "0.5", "--k-max", "3"],
     # a flag the command does not read is a usage error
     ["positive-boundary", "--boundary-tol", "1e-9"],
+    # targets are classified at the domain's own scale: no tolerance flag
+    ["positive-set", "--boundary-tol", "1e-9"],
+    # a domain and a tube around the targets are two domains
+    ["positive-set", "--epsilon", "0.2"],
     # no command has a gate to override
     ["positive-boundary", "--override-gate"],
     ["positive-set", "--override-gate"],
@@ -241,14 +246,14 @@ def test_each_command_takes_only_the_flags_it_reads():
                              "--csv --wave --out",
         # --samples is kept though no code reads it
         "positive-set": "--domain --k " + fit + "--n-col --samples --seed "
-                        "--boundary-tol --csv --wave --out --target --epsilon",
+                        "--csv --wave --out --target --epsilon",
         "counterexample": "--k " + fit + "--seed --out --m --r-scale --n-waves",
         "scan-k": "--domain " + fit + "--samples --csv --out --k-min --k-max --steps",
         "selftest": "--seed --out",
     }
     flags = subcommand_flags()
     assert flags == {command: set(names.split()) for command, names in table.items()}
-    assert sum(map(len, flags.values())) == 46
+    assert sum(map(len, flags.values())) == 45
 
 
 def test_wave_count_cap():
@@ -468,7 +473,7 @@ def _extreme(argv, code, passes, error=None):
     # pi R^2 overflows: positive-set's gate fails on an infinite area
     _extreme(["positive-set", "--domain", "huge_disk.json", "--target", "huge_targets.json"],
              2, False),
-    # the shoelace terms, distances and ray crossings, not just the area, overflow
+    # the shoelace terms, distances and ray crossings overflow, but not in units
     _extreme(["positive-set", "--domain", "huge_square.json", "--target", "huge_targets.json"],
              2, False),
     _extreme(["positive-set", "--domain", "huge_L2.json", "--target", "huge_targets.json"],
@@ -476,16 +481,19 @@ def _extreme(argv, code, passes, error=None):
     # the target lies on the spine: its distance to the spine is 0, not NaN
     _extreme(["positive-set", "--domain", "huge_tube.json", "--target", "spine_targets.json"],
              2, False),
-    # the domain's scale, not the target's, sets the units: a far target is outside
+    # the domain's power of two, not the target's, sets the units: a far target is outside
     _extreme(["positive-set", "--domain", "square.json", "--target", "far_out.json"],
              4, None, "strictly inside"),
-    # pa.ab / |ab|^2 of a target near the float limit does not overflow
+    # the target overflows in the quarter square's units (s = 1/4): it is outside
     _extreme(["positive-set", "--domain", "quarter_square.json",
               "--target", "float_edge_targets.json"], 4, None, "strictly inside"),
     # no interior point of the strip is farther than BOUNDARY_TOL from its
     # boundary: the mean-value check's point search gives up
     _extreme(["positive-boundary", "--domain", "strip13.json"], 4, None, "boundary tolerance"),
     _extreme(["positive-boundary", "--domain", "strip11.json"], 0, True),
+    # k times the domain's power of two underflows: the unit copy has no wavenumber
+    _extreme(["positive-boundary", "--domain", "tiny_disk.json", "--k", "1e-300"], 4, None,
+             "underflows"),
     # R = j01 / k: pi R^2 overflows, then underflows to 0 (lambda_1 bound inf)
     _extreme(["counterexample", "--k", "1e-300", "--n-waves", "4"], 0, True),
     _extreme(["counterexample", "--k", "1e300", "--n-waves", "4"], 0, True),
@@ -506,6 +514,64 @@ def test_extreme_scales_exit_cleanly(files, capsys, argv, code, passes, error):
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:") and error in lines[0]
         assert not out.exists()
+
+
+L2 = [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]
+SQUARE = [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]]
+STRAIGHT = [[-1, 0], [-0.5, 0], [0, 0], [0.5, 0], [1, 0]]
+
+#: case -> (command, polygon vertices or None, target points or None, k, --epsilon)
+_SCALE_CASES = {
+    "boundary-L2-k1.3": ("positive-boundary", L2, None, 1.3, None),
+    "set-square-targets": ("positive-set", SQUARE, [[0, 0], [0.2, 0.1], [-0.15, -0.2]],
+                           1.0, None),
+    "set-tube-eps0.2": ("positive-set", None, STRAIGHT, 1.0, 0.2),
+}
+
+
+def _run_scaled(tmp, case, e):
+    """(exit code, report, wave) of a case with every length times 2^e and k times 2^-e."""
+    command, vertices, targets, k, epsilon = _SCALE_CASES[case]
+    f = math.ldexp(1.0, e)
+    out, wave = tmp / "scaled.json", tmp / "scaled_wave.json"
+    argv = [command, "--k", repr(k / f), "--out", str(out), "--wave", str(wave)]
+    if vertices is not None:
+        domain = tmp / "scaled_domain.json"
+        domain.write_text(json.dumps({"type": "polygon",
+                                      "vertices": [[x * f, y * f] for x, y in vertices]}))
+        argv += ["--domain", str(domain)]
+    if targets is not None:
+        points = tmp / "scaled_targets.json"
+        points.write_text(json.dumps({"points": [[x * f, y * f] for x, y in targets]}))
+        argv += ["--target", str(points)]
+    if epsilon is not None:
+        argv += ["--epsilon", repr(epsilon * f)]
+    return run(argv), load(out), load(wave)
+
+
+@pytest.mark.parametrize("case", sorted(_SCALE_CASES))
+def test_every_scale_gives_the_unit_result(files, capsys, case):
+    # the question does not depend on scale, and the commands run on the
+    # domain in units of its power of two: with every length times 2^e and
+    # k times 2^-e the run is the unit run, bit for bit, where areas overflow
+    # (2^600), where absolute tolerances rejected the domain or its targets
+    # (2^-40, 2^-200), and where an absolute FD step failed a check (2^40)
+    code0, rep0, wave0 = _run_scaled(files["tmp"], case, 0)
+    assert code0 == 0
+    for e in (-200, -40, 40, 200, 600):
+        f = math.ldexp(1.0, e)
+        code, rep, wave = _run_scaled(files["tmp"], case, e)
+        assert code == code0
+        assert rep["fit"] == rep0["fit"]
+        for key in ("certified_margin", "min_sample", "rounding"):
+            assert rep["certificate"][key] == rep0["certificate"][key]
+        assert rep["certificate"]["min_point"] == [v * f for v in rep0["certificate"]["min_point"]]
+        assert all(c["passed"] for c in rep["checks"])
+        assert wave["center"] == [v * f for v in wave0["center"]]
+        assert wave["k"] == wave0["k"] / f
+        assert {key: wave[key] for key in ("M", "a0", "ac", "as")} == \
+            {key: wave0[key] for key in ("M", "a0", "ac", "as")}
+    assert capsys.readouterr().err == ""
 
 
 def test_scan_k_report_is_strict_json(files):

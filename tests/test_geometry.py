@@ -235,22 +235,49 @@ def test_centroids():
 ])
 @pytest.mark.parametrize("shape", ["L", "bent-tube"])
 def test_measures_scale_exactly_by_powers_of_two(shape, scale, offset):
-    # products of raw coordinates overflow at these scales (an area of 2**1000
-    # from shoelace terms of 2**1030, distances and centroids near 1e199), but
-    # every measure works in units of the domain's own power of two
+    # products of raw coordinates overflow at these scales (shoelace terms of
+    # 2**1030, distances and centroids near 1e199), so measures are taken on
+    # the unit copy: the big domain's is the small one's, bit for bit, and
+    # its power of two carries the scale
     def make(f):
         if shape == "L":
             return g.polygon((np.asarray(L_SHAPE) + offset) * f)
         return g.tube_of((np.array([[0, 0], [1, 0], [1, 1]]) + offset) * f, 0.2 * f)
 
-    small, big = make(1.0), make(scale)
-    pts = offset + np.random.default_rng(5).uniform(-1.5, 1.5, (200, 2))
-    assert g.area(big) == scale * scale * g.area(small)  # inf past 1e308
-    assert np.array_equal(g.centroid(big), scale * g.centroid(small))
-    assert np.array_equal(g.boundary_distance(big, pts * scale),
-                          scale * g.boundary_distance(small, pts))
-    assert np.array_equal(g.locate_points(big, pts * scale, tol=scale * 1e-9),
-                          g.locate_points(small, pts, tol=1e-9))
+    (small, s), (big, s_big) = g.in_units(make(1.0)), g.in_units(make(scale))
+    assert s_big == scale * s
+    pts = (offset + np.random.default_rng(5).uniform(-1.5, 1.5, (200, 2))) / s
+    assert g.area(big) == g.area(small)
+    assert np.array_equal(g.centroid(big), g.centroid(small))
+    assert np.array_equal(g.boundary_distance(big, pts), g.boundary_distance(small, pts))
+    assert np.array_equal(g.locate_points(big, pts, tol=1e-9 / s),
+                          g.locate_points(small, pts, tol=1e-9 / s))
+    assert np.array_equal(g.sample_boundary(big, 97).points,
+                          g.sample_boundary(small, 97).points)
+
+
+@pytest.mark.parametrize("e", [-600, -40, 0, 40, 660])
+@pytest.mark.parametrize("shape", ["disk", "L", "bent-tube"])
+def test_in_units_round_trip_is_exact(shape, e):
+    # dividing by a power of two is exact: the unit copy's samplings times s
+    # are the domain's, bit for bit, from 2^-600 to 2^660
+    f = math.ldexp(1.0, e)
+    if shape == "disk":
+        domain = g.disk([0.3 * f, -1.0 * f], 0.7 * f)
+    elif shape == "L":
+        domain = g.polygon(np.asarray(L_SHAPE) * f)
+    else:
+        domain = g.tube_of(np.array([[0, 0], [1, 0], [1, 1]]) * f, 0.2 * f)
+    unit, s = g.in_units(domain)
+    assert s == f and type(unit) is type(domain)
+    for offset in (0.0, 0.5):
+        a, b = g.sample_boundary(domain, 97, offset), g.sample_boundary(unit, 97, offset)
+        assert np.array_equal(b.points * s, a.points)
+        assert np.array_equal(b.normals, a.normals)
+        assert np.array_equal(b.arclengths * s, a.arclengths)
+        assert b.max_gap * s == a.max_gap
+    assert np.array_equal(g.joint_arclengths(unit) * s, g.joint_arclengths(domain))
+    assert g.perimeter(unit) * s == g.perimeter(domain)
 
 
 def test_far_point_against_a_small_tube():
