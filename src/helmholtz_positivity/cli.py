@@ -3,14 +3,16 @@
 Commands
 --------
 positive-boundary   boundary fit -> certificate -> checks (the gate is reported)
-positive-set        gate -> fit to c0 on the domain boundary -> certificate on
-                    the targets -> checks
+positive-set        the same fit on the domain boundary -> certificate on the
+                    target set K -> checks (the gate is reported): with
+                    --epsilon K is the target polyline, sampled at --samples
+                    points, and with --domain it is the finite target points
 counterexample      eigenvalue-radius disk: the expected fit failure plus a
                     panel of random waves changing sign on the circle
 scan-k              CSV sweep of gate/residual/margin over a wavenumber range
 selftest            run the built-in invariant suite and print a table
 
-The commands decide the spectral gate (herglotz.fit_boundary only fits), both
+The commands report the spectral gate (herglotz.fit_boundary only fits), both
 certifying commands end in one fit-and-certify tail (_certified), and each
 subcommand declares only the flags it reads (_COMMANDS).
 
@@ -18,11 +20,11 @@ Each command makes one unit decision (_in_units): gate, fit, certificate and
 checks run on the domain divided by its power of two s, at k * s, and reported
 lengths are scaled back exactly (the checks report in the copy's units).
 
-Exit codes: 0 success/certified, 2 positive-set's gate (failed, or at its
-equality case), 3 a certificate that does not certify, 4 input error (usage
-errors too). The certificate alone decides between 0 and 3: a fit that misses
-c0 by more than herglotz.FAIL_THRESHOLD is certified all the same and reported
-with fit.converged false. Reports are deterministic for a fixed config and
+Exit codes: 0 success/certified, 3 a certificate that does not certify, 4
+input error (usage errors too). The certificate alone decides between 0 and 3:
+no command stops at the gate, and a fit that misses c0 by more than
+herglotz.FAIL_THRESHOLD is certified all the same and reported with
+fit.converged false. Reports are deterministic for a fixed config and
 seed (all randomness is seeded; the wall_time_s field is the one exception).
 """
 
@@ -42,7 +44,6 @@ import numpy as np
 from . import certify, dirichlet, geometry, herglotz, linalg, specfun
 
 EXIT_OK = 0
-EXIT_GATE = 2
 EXIT_UNCERTIFIED = 3
 EXIT_INPUT = 4
 
@@ -59,7 +60,7 @@ class InputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors are input errors: argparse's exit code 2 means a gate failure here."""
+    """Usage errors are input errors (exit 4), not argparse's exit code 2."""
 
     def error(self, message):
         raise InputError(message)
@@ -191,18 +192,11 @@ def cmd_positive_set(args) -> int:
             and np.all(geometry.locate_points(domain, points) == geometry.INSIDE)):
         raise InputError("every target point must lie strictly inside the domain")
 
-    gate = dirichlet.faber_krahn_gate(domain, k)
-    report["gate"] = _gate_dict(gate, s)
-    if not gate.passes:
-        report["error"] = "gate failed: domain area exceeds the threshold"
-        _finish(report, t0, args)
-        return EXIT_GATE
-    if gate.area_d >= gate.area_threshold * (1.0 - 1e-12):
-        report["error"] = ("degenerate equality case: the area sits at the gate "
-                           "threshold, so k^2 may equal the first eigenvalue; this "
-                           "pipeline requires strict inequality")
-        _finish(report, t0, args)
-        return EXIT_GATE
+    report["gate"] = _gate_dict(dirichlet.faber_krahn_gate(domain, k), s)
+    if args.epsilon is not None and isinstance(domain, geometry.Tube):  # K: the spine
+        return _certified(report, domain, s, k, certify.certify_positive,
+                          geometry.sample_polyline(domain.spine, args.samples), args, t0)
+    # K: the finite targets (with --epsilon, one point's tube is a disk)
     return _certified(report, domain, s, k, certify.certify_positive_on_set,
                       geometry.TargetSet(points=points), args, t0)
 
@@ -478,8 +472,8 @@ _FLAGS = {
     "--mode": dict(default="auto", help="qr | tsvd:<t> | tikhonov:<a> | auto"),
     "--n-col": dict(type=int, help="number of collocation points"),
     "--samples": dict(type=int, default=4096,
-                      help="certificate boundary samples; positive-set ignores "
-                           "it, as its certificate runs on the target points"),
+                      help="certificate samples on the boundary, or on the target "
+                           "polyline for positive-set --epsilon"),
     "--seed": dict(type=int, default=42, help="RNG seed"),
     "--csv": dict(help="CSV output path"),
     "--wave": dict(help="wave JSON output path"),
@@ -503,7 +497,6 @@ _COMMANDS = (
      "fit and certify a wave positive on the boundary",
      ("--domain", "--k", *_FIT, "--n-col", "--samples", "--seed", "--csv", "--wave",
       "--out")),
-    # no code here reads --samples; it stays, as the README documents it
     ("positive-set", cmd_positive_set,
      "certify a wave positive on a compact target set",
      ("--domain", "--k", *_FIT, "--n-col", "--samples", "--seed", "--csv", "--wave",

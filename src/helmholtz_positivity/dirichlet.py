@@ -1,14 +1,12 @@
-"""Interior Dirichlet solves for (lap + k^2) v = 0, v = c0 on the boundary.
+"""Interior Dirichlet problems for (lap + k^2) v = 0, v = c0 on the boundary.
 
-The workhorse is a fundamental-solution collocation solver (charges on an
-outward offset of the boundary, truncated-SVD least squares, accuracy
-certified a posteriori on an independent validation sampling). A disk
-closed form c0 J0(kr)/J0(kR) serves as an exact oracle. The area-based
-first-eigenvalue gate (isoperimetric lower bound lambda_1(D) >= lambda_1
-of the equal-area disk) decides when the solve is safely below the first
-Dirichlet eigenvalue, and two verifiers witness the qualitative facts the
-pipelines rely on: strict interior positivity for c0 > 0, and the circle
-mean-value identity avg_{|y-x|=r} u = u(x) J0(kr).
+The commands use three things from here: the area-based first-eigenvalue
+gate (lambda_1(D) >= lambda_1 of the equal-area disk), which they report and
+no command enforces; the disk closed form c0 J0(kr)/J0(kR), selftest's oracle
+for the boundary fit; and the checks' Halton interior sampler and circle
+mean-value identity avg_{|y-x|=r} u = u(x) J0(kr). The fundamental-solution
+(MFS) collocation solver and its strict-positivity scan are library code that
+no command calls.
 """
 
 from __future__ import annotations

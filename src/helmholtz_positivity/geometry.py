@@ -7,13 +7,13 @@ arcs, counterclockwise with the interior on the left), held as arrays with
 one row per piece: endpoints or centre, radius, sweep angles, length and
 the arclength where each piece starts. Polygons and disks build the table
 on each call; a tube builds it once. The table gives exact perimeters and
-areas (Green's theorem), arclength-uniform boundary sampling with outward
-normals by one `searchsorted`, and the joint arclengths. Containment is
-three-valued with a boundary tolerance. Scale is decided once: the commands
-run on `in_units`'s copy of a domain, divided by its power of two (exact
-unless a value is subnormal), and `polygon` and `tube_of` validate in the
-same units, so no other function needs scale logic and every tolerance is
-relative to the domain.
+areas (Green's theorem), arclength-uniform sampling with outward normals by
+one `searchsorted` (of an open polyline's segment table too), and the joint
+arclengths. Containment is three-valued with a boundary tolerance. Scale is
+decided once: the commands run on `in_units`'s copy of a domain, divided by
+its power of two (exact unless a value is subnormal), and `polygon` and
+`tube_of` validate in the same units, so no other function needs scale logic
+and every tolerance is relative to the domain.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "circumradius",
     "diameter",
     "sample_boundary",
+    "sample_polyline",
     "boundary_points_at",
     "joint_arclengths",
     "boundary_distance",
@@ -157,11 +158,10 @@ class TargetSet:
 
 @dataclass(frozen=True, eq=False)
 class BoundarySampling:
-    points: np.ndarray      # (n, 2) on the boundary
-    normals: np.ndarray     # (n, 2) outward unit normals
-    arclengths: np.ndarray  # (n,) positions along the boundary
-    gaps: np.ndarray        # (n,) chord to the next sample, wrap-around
-    max_gap: float          # arclength step perimeter / n >= every chord
+    points: np.ndarray      # (n, 2) on the boundary or polyline
+    normals: np.ndarray     # (n, 2) unit normals, right of travel (outward on a boundary)
+    arclengths: np.ndarray  # (n,) positions along the curve
+    max_gap: float          # arclength step length / n >= every chord between neighbours
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +545,16 @@ def _points_at(pc: _Pieces, arclengths):
     return _piece_points(pc, idx, s - pc.starts[idx])
 
 
+def _sample(pc: _Pieces, n: int, offset: float) -> BoundarySampling:
+    """n points at arclengths (i + offset) * step, step = length / n."""
+    if n < 1:
+        raise GeometryError("need at least one sample")
+    step = float(pc.starts[-1]) / n
+    s = (np.arange(n) + float(offset)) * step
+    pts, nrm = _points_at(pc, s)
+    return BoundarySampling(points=pts, normals=nrm, arclengths=s, max_gap=step)
+
+
 def sample_boundary(domain, n: int, offset: float = 0.0) -> BoundarySampling:
     """n boundary points equidistributed in arclength.
 
@@ -554,16 +564,15 @@ def sample_boundary(domain, n: int, offset: float = 0.0) -> BoundarySampling:
     not the largest chord: every boundary point lies within max_gap / 2 of
     a sample, which a chord does not guarantee on an arc or for n = 1.
     """
-    n = int(n)
-    if n < 1:
-        raise GeometryError("need at least one boundary sample")
-    pc = _pieces(domain)
-    step = float(pc.starts[-1]) / n
-    s = (np.arange(n) + float(offset)) * step
-    pts, nrm = _points_at(pc, s)
-    gaps = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
-    return BoundarySampling(points=pts, normals=nrm, arclengths=s,
-                            gaps=gaps, max_gap=float(step))
+    return _sample(_pieces(domain), n, offset)
+
+
+def sample_polyline(vertices, n: int) -> BoundarySampling:
+    """The middles of n cells of equal arclength max_gap on the open polyline
+    through distinct `vertices`: each of its points is within max_gap / 2 of one."""
+    v = np.asarray(vertices, dtype=float)
+    zero = np.zeros(len(v) - 1)
+    return _sample(_piece_table(v[:-1], v[1:], zero, zero, zero), n, 0.5)
 
 
 # ---------------------------------------------------------------------------

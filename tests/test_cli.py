@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import special
 
@@ -244,7 +245,6 @@ def test_each_command_takes_only_the_flags_it_reads():
     table = {
         "positive-boundary": "--domain --k " + fit + "--n-col --samples --seed "
                              "--csv --wave --out",
-        # --samples is kept though no code reads it
         "positive-set": "--domain --k " + fit + "--n-col --samples --seed "
                         "--csv --wave --out --target --epsilon",
         "counterexample": "--k " + fit + "--seed --out --m --r-scale --n-waves",
@@ -369,6 +369,85 @@ def test_positive_set_boundary_fit_certifies(files, points, domain, k):
     assert all(c["passed"] for c in rep["checks"])
 
 
+BENT = [[-1, 0], [0, 0.1], [1, 0]]
+ZIG = [[-1, 0], [-0.3, 0.3], [0.3, -0.3], [1, 0]]
+
+
+def _jv_wave(wave, pts):
+    """A saved wave at pts, evaluated with scipy's jv (not the package's table)."""
+    d = pts - wave["center"]
+    kr, theta = wave["k"] * np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+    m = np.arange(1, wave["M"] + 1)
+    return wave["a0"] * special.jv(0, kr) + np.sum(
+        special.jv(m, kr[:, None]) * (np.asarray(wave["ac"]) * np.cos(np.outer(theta, m))
+                                      + np.asarray(wave["as"]) * np.sin(np.outer(theta, m))),
+        axis=1)
+
+
+def _along(points, n):
+    """n points equispaced in arclength on the polyline, both ends included."""
+    v = np.asarray(points, dtype=float)
+    s = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(v, axis=0).T))])
+    t = np.linspace(0.0, s[-1], n)
+    return np.stack([np.interp(t, s, v[:, 0]), np.interp(t, s, v[:, 1])], axis=1), s[-1]
+
+
+def _set_run(files, points, *argv):
+    """(exit code, report, wave) of positive-set on the target points."""
+    out, wave = files["tmp"] / "spine.json", files["tmp"] / "spine_wave.json"
+    targets = files["tmp"] / "spine_targets.json"
+    targets.write_text(json.dumps({"points": points}))
+    code = run(["positive-set", "--target", str(targets), *argv,
+                "--out", str(out), "--wave", str(wave)])
+    return code, load(out), load(wave)
+
+
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+@pytest.mark.parametrize("epsilon", ["0.1", "0.2"])
+@pytest.mark.parametrize("spine", ["bent", "zig"])
+def test_positive_set_certifies_the_whole_spine(files, spine, epsilon, k):
+    # with --epsilon, K is the target polyline: --samples cell midpoints, a
+    # gap of one cell, and a margin that no point of the exact spine undercuts
+    points, n = {"bent": BENT, "zig": ZIG}[spine], 512
+    code, rep, wave = _set_run(files, points, "--epsilon", epsilon, "--k", k,
+                               "--samples", str(n))
+    cert = rep["certificate"]
+    dense, length = _along(points, 16 * n)
+    assert cert["n_samples"] == n
+    assert cert["max_gap"] == pytest.approx(length / n, rel=1e-14)
+    assert cert["certified_margin"] <= float(np.min(_jv_wave(wave, dense)))
+    assert code == 0 and cert["certified"] is True
+
+
+def test_positive_set_gate_is_reported_not_enforced(files):
+    # the eps 0.2 tube at k 5 is over the Faber-Krahn gate (it allows k < 4.43),
+    # and the spine certificate proves its wave positive all the same
+    code, rep, _ = _set_run(files, [[-1, 0], [1, 0]], "--epsilon", "0.2", "--k", "5")
+    assert code == 0
+    assert rep["gate"]["passes"] is False
+    assert rep["certificate"]["max_gap"] == 2.0 / 4096
+    assert rep["certificate"]["n_samples"] == 4096
+    assert "error" not in rep
+
+
+def test_positive_set_one_spine_sample_is_the_midpoint(files):
+    code, rep, _ = _set_run(files, [[-1, 0], [1, 0]], "--epsilon", "0.2",
+                            "--samples", "1")
+    cert = rep["certificate"]
+    assert (cert["n_samples"], cert["max_gap"], cert["min_point"]) == (1, 2.0, [0.0, 0.0])
+    assert code == 3 and cert["certified"] is False
+
+
+def test_positive_set_tube_domain_certifies_the_targets_only(files):
+    # a tube given as --domain is a domain: K is the finite target set
+    tube = files["tmp"] / "tube.json"
+    tube.write_text(json.dumps({"type": "tube", "spine": [[-1, 0], [1, 0]], "epsilon": 0.2}))
+    code, rep, _ = _set_run(files, STRAIGHT, "--domain", str(tube), "--samples", "16")
+    assert code == 0
+    assert rep["certificate"]["max_gap"] == 0.0
+    assert rep["certificate"]["n_samples"] == len(STRAIGHT)
+
+
 def test_standard_checks_evaluate_each_check_once(files, monkeypatch):
     # two scale evaluations, the mean-value circles, the FD stencil, the zero-ball scan
     domain = geometry.load_domain(files["square.json"])
@@ -388,14 +467,17 @@ def test_standard_checks_evaluate_each_check_once(files, monkeypatch):
 
 
 def test_positive_set_equality_case_rejected(files):
-    # disk of radius exactly j01/k sits on the gate threshold
+    # the disk of radius exactly j01/k sits on the gate threshold: no wave is
+    # positive on its boundary, the fit to c0 collapses, and the certificate
+    # at its centre rejects the wave by itself (no gate stop)
     out = str(files["tmp"] / "deg.json")
-    onept = files["tmp"] / "center.json"
-    onept.write_text(json.dumps({"points": [[0, 0]]}))
     code = run(["positive-set", "--domain", files["eigendisk.json"],
-                "--target", str(onept), "--k", "1", "--out", out])
-    assert code == 2
-    assert "degenerate equality" in load(out)["error"]
+                "--target", files["origin.json"], "--k", "1", "--out", out])
+    assert code == 3
+    rep = load(out)
+    assert rep["certificate"]["certified"] is False
+    assert rep["fit"]["converged"] is False
+    assert "error" not in rep
 
 
 def test_counterexample_report(files):
@@ -466,21 +548,21 @@ def _extreme(argv, code, passes, error=None):
     _extreme(["positive-boundary", "--domain", "huge_L2.json"], 4, None, "above the cap"),
     _extreme(["positive-boundary", "--domain", "huge_tube.json"], 4, None, "above the cap"),
     # pi R^2 and pi (j01/k)^2 both overflow, yet k R = 120 > j01: the radii decide,
-    # and positive-boundary reports the failing gate and certifies all the same
+    # and both certifying commands report the failing gate and certify all the same
     _extreme(["positive-boundary", "--domain", "giant_disk.json", "--k", "1e-300"], 3, False),
     _extreme(["positive-set", "--domain", "giant_disk.json", "--target", "origin.json",
-              "--k", "1e-300"], 2, False),
-    # pi R^2 overflows: positive-set's gate fails on an infinite area
+              "--k", "1e-300"], 0, False),
+    # the targets are inside (the shoelace terms, distances and ray crossings
+    # overflow, but not in units), and then k R is far above the order cap
     _extreme(["positive-set", "--domain", "huge_disk.json", "--target", "huge_targets.json"],
-             2, False),
-    # the shoelace terms, distances and ray crossings overflow, but not in units
+             4, None, "above the cap"),
     _extreme(["positive-set", "--domain", "huge_square.json", "--target", "huge_targets.json"],
-             2, False),
+             4, None, "above the cap"),
     _extreme(["positive-set", "--domain", "huge_L2.json", "--target", "huge_targets.json"],
-             2, False),
+             4, None, "above the cap"),
     # the target lies on the spine: its distance to the spine is 0, not NaN
     _extreme(["positive-set", "--domain", "huge_tube.json", "--target", "spine_targets.json"],
-             2, False),
+             4, None, "above the cap"),
     # the domain's power of two, not the target's, sets the units: a far target is outside
     _extreme(["positive-set", "--domain", "square.json", "--target", "far_out.json"],
              4, None, "strictly inside"),

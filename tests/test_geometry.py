@@ -303,6 +303,12 @@ def test_far_point_distance_does_not_overflow():
 
 # --- boundary sampling ---------------------------------------------------------
 
+def _chords(points, closed):
+    """Distance from each sample to the next, back to the first if closed."""
+    nxt = np.roll(points, -1, axis=0) if closed else points[1:]
+    return np.hypot(*(nxt - points[:len(nxt)]).T)
+
+
 def test_disk_four_samples():
     bs = g.sample_boundary(g.disk([0, 0], 1.0), 4)
     expect = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
@@ -315,12 +321,12 @@ def test_square_eight_samples_hit_vertices():
     pts = {tuple(np.round(p, 12)) for p in bs.points}
     for v in UNIT_SQUARE:
         assert tuple(map(float, v)) in pts
-    assert np.max(bs.gaps) <= 0.5 + 1e-12
+    assert np.max(_chords(bs.points, closed=True)) <= 0.5 + 1e-12
 
 
 def test_perimeter_estimate_from_gaps():
     bs = g.sample_boundary(g.disk([0, 0], 1.0), 256)
-    assert abs(np.sum(bs.gaps) - 2 * math.pi) / (2 * math.pi) < 0.01
+    assert abs(np.sum(_chords(bs.points, closed=True)) - 2 * math.pi) / (2 * math.pi) < 0.01
 
 
 @pytest.mark.parametrize("domain", [
@@ -335,7 +341,27 @@ def test_samples_lie_on_boundary_and_gap_bound(domain):
     assert np.all(codes == g.BOUNDARY)
     assert bs.max_gap <= 2.0 * g.perimeter(domain) / n
     assert bs.max_gap == pytest.approx(g.perimeter(domain) / n)
-    assert np.max(bs.gaps) <= bs.max_gap * (1.0 + 1e-12)  # chords, up to rounding
+    assert np.max(_chords(bs.points, closed=True)) <= bs.max_gap * (1.0 + 1e-12)  # up to rounding
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 512])
+def test_polyline_samples_are_cell_midpoints(n):
+    # zig spine, length 2 * hypot(0.7, 0.3) + hypot(0.6, 0.6)
+    zig = np.array([[-1, 0], [-0.3, 0.3], [0.3, -0.3], [1, 0]], dtype=float)
+    length = 2 * math.hypot(0.7, 0.3) + math.hypot(0.6, 0.6)
+    bs = g.sample_polyline(zig, n)
+    assert len(bs.points) == n
+    assert bs.max_gap == pytest.approx(length / n, rel=1e-15)
+    assert np.allclose(bs.arclengths, (np.arange(n) + 0.5) * length / n, rtol=0, atol=1e-15)
+    # on a segment of the spine: collinear with its ends
+    d = zig[1:] - zig[:-1]
+    cross = np.abs(d[None, :, 0] * (bs.points[:, None, 1] - zig[None, :-1, 1])
+                   - d[None, :, 1] * (bs.points[:, None, 0] - zig[None, :-1, 0]))
+    assert np.all(np.min(cross, axis=1) <= 1e-14)
+    # both ends are half a cell from the nearest sample; chords are at most a cell
+    for end in (zig[0], zig[-1]):
+        assert np.min(np.hypot(*(bs.points - end).T)) <= bs.max_gap / 2 * (1 + 1e-12)
+    assert np.all(_chords(bs.points, closed=False) <= bs.max_gap * (1 + 1e-12))
 
 
 def test_sampling_offset_gives_disjoint_points():
