@@ -80,24 +80,28 @@ def _certificate(wave: herglotz.FourierBesselWave, points: np.ndarray,
 
     `rounding` bounds the error of one sample of herglotz.eval_series at a
     point p with r = |p - center| <= r_max, in units of eps = 2^-52 and of
-    ||c||_1 = |a0| + sum |ac_m| + sum |as_m|. Term m contributes
-    J_m(kr) Re((ac_m - i as_m) e^{i m phi}), whose size is at most
-    |ac_m| + |as_m| (|J_m| <= 1, DLMF 10.14.1), so each relative error
-    below is weighted by ||c||_1:
+    ||c||_1 = |a0| + sum |ac_m| + sum |as_m|. The sample is Re h / N: the
+    Horner sum h = sum_m c_m J~_m w^m (c_0 = a0, c_m = ac_m - i as_m,
+    w = e^{i phi}) of the recurrence's unnormalised J~_m, folded from m = M
+    down by h <- h w + c_m J~_m (specfun.bessel_sum), over its normalisation
+    N. Term m is at most |c_m| <= |ac_m| + |as_m| (|J_m| <= 1, DLMF
+    10.14.1), so each relative error below is weighted by ||c||_1:
 
-    - the rounded offset p - center, radius (hypot), argument kr and unit
-      e^{i phi} = (x + i y) / r belong to a point p' with |p' - p| <=
-      2.5 eps r (a half eps per offset coordinate, 1.5 eps in kr, a rotation
-      of a half eps in the division); every term is k-Lipschitz, so
-      3 eps k r_max;
-    - each table value is within _TABLE_ERROR of J_m at p';
-    - the unit has modulus 1 within 1.5 eps and each of the m - 1 complex
-      products that form e^{i m phi} adds at most sqrt(5) eps, so the
-      power is off by at most m (sqrt(5) + 2) eps;
-    - ac_m cos + as_m sin and its product with J_m add 2 eps, and the
-      running sum of the M + 1 terms adds M eps.
+    - the rounded offset p - center, radius (hypot), argument kr and unit w
+      belong to a point p' with |p' - p| <= 2.5 eps r (a half eps per
+      offset coordinate, 1.5 eps in kr, a rotation of a half eps in the
+      division); every term is k-Lipschitz, so 3 eps k r_max;
+    - J~_m / N is specfun.bessel_j_table's value before its last rounding
+      (one loop; its rescales divide by powers of two, exactly), within
+      _TABLE_ERROR of J_m at p' (1.2e-15 measured, plus eps/2);
+    - w has modulus 1 within 1.5 eps and each of the m products by w adds
+      at most sqrt(5) eps, so w^m is off by m (sqrt(5) + 1.5) eps; the
+      fold's additions at orders m .. 0 add (m + 1) eps/2, the product
+      c_m J~_m eps/2, and the division by N eps/2 (below kr = 1e-30 the
+      series values are summed: J_0 = 1, the other terms < 1e-30 |c_m|).
 
     With m <= M the sum is below
+    (_TABLE_ERROR + (M (sqrt(5) + 2) + 3/2 + 3 k r_max) eps) ||c||_1, inside
     rounding = (_TABLE_ERROR + (7M + 4 + 3 k r_max) eps) ||c||_1.
     """
     values = herglotz.eval_series(wave, points)
@@ -181,6 +185,13 @@ def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float,
     The guarantee that one exists applies once radius >= j01/k. Default
     step 0.05/k: zero sets of Helmholtz solutions have sub-wavelength
     spacing, so a sub-wavelength grid suffices in practice.
+
+    The grid of every fourth tick (the full grid's points, bit for bit) goes
+    first, and its sign change counts only if both extremes exceed the
+    identically-small threshold; a last-bit difference cannot flip a value
+    that size, so `found` and `identically_small` are the full grid's,
+    which decides otherwise. `n_grid` and the witness points are the
+    deciding pass's.
     """
     c = np.asarray(center, dtype=float).reshape(2)
     if grid_step is None:
@@ -188,12 +199,15 @@ def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float,
     if not (radius > 0.0 and grid_step > 0.0):
         raise ValueError("radius and grid_step must be positive")
     ticks = np.arange(-radius, radius + 0.5 * grid_step, grid_step)
-    gx, gy = np.meshgrid(c[0] + ticks, c[1] + ticks)
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    pts = pts[np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= radius]
-    vals = herglotz.eval_series(wave, pts)
-    norm = herglotz.coefficient_norm(wave)
-    if float(np.max(np.abs(vals))) <= 1e-12 * max(norm, 1e-300):
+    small = 1e-12 * max(herglotz.coefficient_norm(wave), 1e-300)
+    for sub in (ticks[::4], ticks):
+        gx, gy = np.meshgrid(c[0] + sub, c[1] + sub)
+        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+        pts = pts[np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= radius]
+        vals = herglotz.eval_series(wave, pts)
+        if len(vals) and -vals.min() > small and vals.max() > small:
+            break
+    if float(np.max(np.abs(vals))) <= small:
         return ZeroScan(found=False, positive_point=None, negative_point=None,
                         identically_small=True, n_grid=len(pts))
     i_max = int(np.argmax(vals))

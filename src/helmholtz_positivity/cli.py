@@ -107,11 +107,14 @@ def _gate_dict(gate: dirichlet.SpectralGate, s: float) -> dict:
     }
 
 
-def _in_units(domain, k: float):
-    """(domain / s, s, k * s), with s the domain's power of two (geometry.in_units)."""
+def _in_units(domain, k: float, flag: str = "--k"):
+    """(domain / s, s, k * s), with s the domain's power of two (geometry.in_units);
+    a k * s whose zero ball (_check_zero_ball) overflows is an error of `flag`."""
     domain, s = geometry.in_units(domain)
     if k * s == 0.0:
-        raise InputError(f"k = {k:g} underflows in the units of the domain (s = {s:g})")
+        raise InputError(f"{flag} {k:g} underflows in the units of the domain (s = {s:g})")
+    if not math.isfinite(2.002 * float(specfun.bessel_zero(0, 1)) / (k * s)):
+        raise InputError(f"{flag} {k:g} is too small: its zero ball overflows in units (s = {s:g})")
     return domain, s, k * s
 
 
@@ -133,9 +136,7 @@ def _check_mean_value(wave, domain, k: float, seed: int) -> dict:
 
 def _check_pde_residual(wave, domain, k: float, seed: int) -> dict:
     rng = np.random.default_rng(seed + 1)
-    bpts = geometry.sample_boundary(domain, 256).points
-    lo, hi = bpts.min(axis=0), bpts.max(axis=0)
-    pts = rng.uniform(lo, hi, size=(100, 2))
+    pts = rng.uniform(*geometry.bounding_box(domain), size=(100, 2))
     evaluate = lambda p: herglotz.eval_series(wave, p)
     scale = float(np.max(np.abs(evaluate(pts))))
     res = float(np.max(herglotz.helmholtz_fd_residual(evaluate, pts, k)))
@@ -240,7 +241,9 @@ def _certified(report, domain, s, k, certify_on, where, args, t0) -> int:
 def cmd_counterexample(args) -> int:
     """Demonstrate the eigenvalue obstruction on the disk of radius j_{0,m}/k."""
     t0 = time.perf_counter()
-    radius = args.r_scale * specfun.bessel_zero(0, args.m) / args.k
+    radius = args.r_scale * float(specfun.bessel_zero(0, args.m)) / args.k
+    if not math.isfinite(radius):
+        raise InputError(f"--k {args.k:g} and --r-scale put the circle radius past the float range")
     domain, s, ks = _in_units(geometry.disk((0.0, 0.0), radius), args.k)
     M = _fit_order(args, ks, domain, "--r-scale and --m")
     gate = dirichlet.faber_krahn_gate(domain, ks)
@@ -272,7 +275,7 @@ def cmd_scan_k(args) -> int:
     t0 = time.perf_counter()
     if not 0.0 < args.k_min < args.k_max:
         raise InputError("need 0 < k-min < k-max")
-    domain, s, _ = _in_units(_load_domain_arg(args), args.k_min)  # the least k
+    domain, s, _ = _in_units(_load_domain_arg(args), args.k_min, "--k-min")  # the least k
     _fit_order(args, args.k_max * s, domain, "--k-max and the domain")
     sampling = geometry.sample_boundary(domain, args.samples)
     rows = []

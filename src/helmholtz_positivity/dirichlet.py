@@ -357,9 +357,7 @@ def halton_interior(domain, n: int, seed: int = 42) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one interior point, got n={n}")
-    pieces = geometry.sample_boundary(domain, 256).points
-    lo = pieces.min(axis=0)
-    hi = pieces.max(axis=0)
+    lo, hi = geometry.bounding_box(domain)
     perms = _halton_permutations(seed)
     out = []
     start, need = 0, n

@@ -42,6 +42,7 @@ __all__ = [
     "perimeter",
     "centroid",
     "circumradius",
+    "bounding_box",
     "diameter",
     "sample_boundary",
     "sample_polyline",
@@ -107,15 +108,18 @@ def _piece_table(a, b, radius, t0, t1) -> _Pieces:
 
 def _piece_points(pc: _Pieces, idx: np.ndarray, local: np.ndarray):
     """Points and outward unit normals at arclength `local` into pieces `idx`."""
+    arc = pc.radius[idx] > 0.0 if pc.radius.any() else None  # no mask without arcs
+    seg = slice(None) if arc is None else ~arc
     pts = np.empty((len(idx), 2))
     nrm = np.empty((len(idx), 2))
-    arc = pc.radius[idx] > 0.0
-    i, s = idx[~arc], local[~arc]
+    i, s = idx[seg], local[seg]
     d = pc.b[i] - pc.a[i]
     L = pc.length[i]
-    pts[~arc] = pc.a[i] + (s / L)[:, None] * d
+    pts[seg] = pc.a[i] + (s / L)[:, None] * d
     u = d / L[:, None]
-    nrm[~arc] = np.stack([u[:, 1], -u[:, 0]], axis=1)  # right of travel = outward for CCW
+    nrm[seg] = np.stack([u[:, 1], -u[:, 0]], axis=1)  # right of travel = outward for CCW
+    if arc is None:
+        return pts, nrm
     i, s = idx[arc], local[arc]
     r = pc.radius[i]
     ang = pc.t0[i] + s / r
@@ -387,24 +391,31 @@ def _tube_pieces(V: np.ndarray, eps: float) -> _Pieces:
 
 
 def _dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to a polyline given by its vertices."""
-    a = poly[:-1]
-    b = poly[1:]
-    ab = b - a
-    ab2 = np.sum(ab * ab, axis=1)
-    pa = pts[:, None, :] - a[None, :, :]
+    """Distance from each point to a polyline given by its vertices, from
+    (points, segments) arrays, one per coordinate."""
+    ax, ay = poly[:-1, 0], poly[:-1, 1]
+    abx, aby = poly[1:, 0] - ax, poly[1:, 1] - ay
+    ab2 = (abx * abx + aby * aby) / 16.0
+    px, py = pts[:, 0, None], pts[:, 1, None]
     # t = pa.ab / |ab|^2 in [0, 1], clipped before the division so that a far
     # point cannot overflow it; in sixteenths (exact) pa.ab stays finite, as
     # |pa| < 2^1025 and, on a domain in units, |ab| < 8
-    dot = np.einsum("pse,se->ps", pa / 16.0, ab)
-    t = np.clip(dot, 0.0, ab2 / 16.0) / (ab2 / 16.0)
-    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    t = (px - ax) / 16.0 * abx
+    t += (py - ay) / 16.0 * aby
+    np.clip(t, 0.0, ab2, out=t)
+    t /= ab2
     with np.errstate(over="ignore"):  # a distance past the float range is inf
-        dist = np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
+        dist = np.hypot(px - (ax + t * abx), py - (ay + t * aby))
         return np.min(dist, axis=1)
 
 
+#: Most points a tube's validation takes, a tenth of epsilon apart.
+_MAX_TUBE_CHECKS = 1_000_000
+
+
 def _validate_tube_pieces(pc: _Pieces, spine, eps) -> None:
+    if float(pc.starts[-1]) > 0.1 * eps * _MAX_TUBE_CHECKS:
+        raise GeometryError("tube epsilon is too thin for its spine to check its boundary")
     n = np.maximum(8, np.ceil(pc.length / (0.1 * eps)).astype(int))
     idx = np.repeat(np.arange(len(n)), n)
     j = np.arange(len(idx)) - np.repeat(np.cumsum(n) - n, n)  # index within piece
@@ -509,14 +520,27 @@ def centroid(domain) -> np.ndarray:
 
 
 def circumradius(domain, origin=None) -> float:
-    """Maximum boundary distance from `origin` (default: the centroid)."""
+    """Maximum boundary distance from `origin` (default: the centroid): exact for
+    polygons (|p - o| is convex along an edge) and disks, sampled for tubes."""
     o = centroid(domain) if origin is None else np.asarray(origin, dtype=float)
     if isinstance(domain, Disk):
         return float(np.hypot(*(domain.center - o)) + domain.radius)
-    pts = sample_boundary(domain, 512).points
-    if isinstance(domain, Polygon):
-        pts = np.concatenate([pts, domain.vertices], axis=0)
+    pts = (domain.vertices if isinstance(domain, Polygon)
+           else sample_boundary(domain, 512).points)
     return float(np.max(np.hypot(pts[:, 0] - o[0], pts[:, 1] - o[1])))
+
+
+def bounding_box(domain):
+    """(lo, hi), the least box holding the boundary, from the piece table:
+    segment endpoints, and each arc's ends and the axis extremes it sweeps."""
+    pc = _pieces(domain)
+    arc = pc.radius > 0.0
+    r = pc.radius[arc, None]
+    # the directions q pi/2 (q = -2 .. 6, as t0 > -pi and t1 <= 3 pi) clipped to each sweep
+    t = np.clip(0.5 * math.pi * np.arange(-2, 7), pc.t0[arc, None], pc.t1[arc, None])
+    x, y = pc.a[arc, :1] + r * np.cos(t), pc.a[arc, 1:] + r * np.sin(t)
+    pts = np.concatenate([pc.a[~arc], pc.b[~arc], np.stack([x.ravel(), y.ravel()], axis=1)])
+    return pts.min(axis=0), pts.max(axis=0)
 
 
 def diameter(domain) -> float:

@@ -144,12 +144,11 @@ def density_l1_bound(wave: FourierBesselWave) -> float:
                      + 0.5 * float(np.sum(wave.sin_coeffs ** 2)))
 
 
-def _bessel_and_unit(pts_rel: np.ndarray, k: float, M: int):
-    """J_0(kr) .. J_M(kr) as an (M + 1, N) table, and e^{i phi} = (x + i y) / r
-    (1 at r = 0), at each point (x, y) = r e^{i phi}."""
+def _polar(pts_rel: np.ndarray):
+    """r and e^{i phi} = (x + i y) / r (1 at r = 0) at each point (x, y) = r e^{i phi}."""
     r = np.hypot(pts_rel[:, 0], pts_rel[:, 1])
     z = pts_rel[:, 0] + 1j * pts_rel[:, 1]
-    return specfun.bessel_j_table(M, k * r), np.divide(z, r, out=np.ones_like(z), where=r > 0.0)
+    return r, np.divide(z, r, out=np.ones_like(z), where=r > 0.0)
 
 
 def _basis_matrix(pts_rel: np.ndarray, k: float, M: int) -> np.ndarray:
@@ -158,7 +157,8 @@ def _basis_matrix(pts_rel: np.ndarray, k: float, M: int) -> np.ndarray:
     cos(m phi) and sin(m phi) are the real and imaginary parts of the
     running product e^{i m phi} = e^{i (m-1) phi} e^{i phi}.
     """
-    J, unit = _bessel_and_unit(pts_rel, k, M)
+    r, unit = _polar(pts_rel)
+    J = specfun.bessel_j_table(M, k * r)
     powers = np.empty((M + 1, len(unit)), dtype=complex)
     powers[0] = 1.0
     for m in range(1, M + 1):
@@ -178,25 +178,15 @@ def _wave_from_coef(coef: np.ndarray, k: float, center) -> FourierBesselWave:
 def eval_series(wave: FourierBesselWave, pts) -> np.ndarray:
     """Evaluate the Fourier-Bessel sum at each point; real by construction.
 
-    No basis matrix is built: the loop over m = 1..M advances e^{i m phi}
-    by the running product of _basis_matrix and adds
-    J_m(kr) (ac_m cos(m phi) + as_m sin(m phi)) into one N-vector, so the
-    work space past the J table is e^{i m phi} and three real N-vectors.
+    u = Re sum_m (ac_m - i as_m) J_m(kr) e^{i m phi} (ac_0 = a0, as_0 = 0),
+    summed by specfun.bessel_sum during the Bessel recurrence itself: no
+    J table and no basis matrix is built, and the work space is a few
+    N-vectors.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    J, unit = _bessel_and_unit(pts - wave.center, wave.k, wave.M)
-    out = wave.a0 * J[0]
-    power = np.ones_like(unit)
-    term = np.empty(len(out))
-    part = np.empty(len(out))
-    for m, (ac, as_) in enumerate(zip(wave.cos_coeffs, wave.sin_coeffs), start=1):
-        power *= unit
-        np.multiply(power.real, ac, out=term)
-        np.multiply(power.imag, as_, out=part)
-        term += part
-        term *= J[m]
-        out += term
-    return out
+    r, unit = _polar(pts - wave.center)
+    coef = np.concatenate([[wave.a0], wave.cos_coeffs - 1j * wave.sin_coeffs])
+    return specfun.bessel_sum(coef, wave.k * r, unit)
 
 
 def eval_quadrature(density: HerglotzDensity, pts, n_quad: int | None = None) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The table J_0..J_M behind every Fourier-Bessel basis comes from one
 backward recurrence, and every Bessel value the commands need is read from
-it. The positive zeros j_{n,m} of J_n, for integer orders n = 0..60, are
-located by a bracketing scan refined by bisection and a Newton polish on
-table values. The fundamental solution (i/4) H_0^(1) behind every charge
-matrix comes from scipy.special's j0 and y0; scipy.special is imported only
-inside fundamental_solution, which no command calls.
+it or, for a wave's values, summed on its pass (bessel_sum). The positive
+zeros j_{n,m} of J_n, for integer orders n = 0..60, are located by a
+bracketing scan refined by bisection and a Newton polish on table values.
+The fundamental solution (i/4) H_0^(1) behind every charge matrix comes from
+scipy.special's j0 and y0, imported only inside fundamental_solution, which
+no command calls.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 __all__ = [
     "bessel_zero",
     "bessel_j_table",
+    "bessel_sum",
     "fundamental_solution",
 ]
 
@@ -150,18 +152,35 @@ def bessel_j_table(M: int, x) -> np.ndarray:
     down to order 0, and is normalised by J_0 + 2 (J_2 + J_4 + ...) = 1
     (DLMF 10.12.4). One step multiplies the size of a column by at most
     2n/x + 1; once that bound passes 1e250, every column above 1 is
-    divided by its own size, so the growth at small x cannot overflow. Below x = 1e-30 (x = 0 included) the leading
-    series term is exact and is used instead.
+    divided by the power of two just above its own size (exactly), so the
+    growth at small x cannot overflow. Below x = 1e-30 (x = 0 included)
+    the leading series term is exact and is used instead.
     """
+    return _miller(M, x)
+
+
+def bessel_sum(coef, x, unit) -> np.ndarray:
+    """Re sum_n coef[n] J_n(x) unit^n (n < len(coef)), one unit per x, from
+    bessel_j_table's pass with no table: each order is folded into a Horner
+    sum h <- h unit + coef[n] J~_n of the unnormalised values as the
+    recurrence reaches it, rescaled with them, and normalised once at the end
+    (Gautschi, SIAM Review 9, 1967)."""
+    coef = np.asarray(coef, dtype=complex)
+    return _miller(len(coef) - 1, x, coef, np.asarray(unit, dtype=complex))
+
+
+def _miller(M: int, x, coef=None, unit=None) -> np.ndarray:
+    """bessel_j_table's recurrence, or with coef bessel_sum's fold of its rows."""
     M = int(M)
     if M < 0:
         raise ValueError(f"order M must be nonnegative, got {M}")
     x = np.asarray(x, dtype=float).ravel()
     if not np.all((x >= 0.0) & np.isfinite(x)):
         raise ValueError("bessel_j_table requires finite x >= 0")
-    table = np.empty((M + 1, len(x)))
+    fold = coef is not None  # acc: the rows J~_n .. J~_M, or their Horner sum
+    acc = np.zeros(len(x), dtype=complex) if fold else np.empty((M + 1, len(x)))
     if len(x) == 0:
-        return table
+        return acc.real
     start = _start_order(M, float(x.max()))
     series = x < _SERIES_X
     two_over_x = 2.0 / np.where(series, 1.0, x)
@@ -172,8 +191,11 @@ def bessel_j_table(M: int, x) -> np.ndarray:
     even_sum = np.zeros(len(x))       # J_2 + J_4 + ... so far
     bound = 1e-300                    # >= max |J_n|, |J_{n+1}| over columns
     for n in range(start, 0, -1):
-        if n <= M:
-            table[n] = cur
+        if n <= M and fold:
+            acc *= unit
+            acc += coef[n] * cur
+        elif n <= M:
+            acc[n] = cur
         if n % 2 == 0:
             even_sum += cur
         np.multiply(two_over_x, n, out=nxt)
@@ -182,19 +204,27 @@ def bessel_j_table(M: int, x) -> np.ndarray:
         above, cur, nxt = cur, nxt, above
         bound *= n * growth + 1.0
         if bound > _RESCALE:
-            size = np.maximum(np.maximum(np.abs(cur), np.abs(above)), 1.0)
+            mant, exp = np.frexp(np.maximum(np.maximum(np.abs(cur), np.abs(above)), 1.0))
+            size = np.ldexp(1.0, exp - (mant == 0.5))  # the least power of two >= it
             cur /= size
             above /= size
             even_sum /= size
-            table[n:] /= size
+            acc[0 if fold else n:] /= size  # the sum, or rows n..M
             bound = 1.0
-    table[0] = cur
-    table /= 2.0 * even_sum + cur
+    if fold:
+        acc *= unit
+        acc += coef[0] * cur
+    else:
+        acc[0] = cur
+    acc = acc.real / (2.0 * even_sum + cur)
     if series.any():
         half = 0.5 * x[series]
-        table[:, series] = np.cumprod(
+        rows = np.cumprod(
             np.vstack([np.ones_like(half), half / np.arange(1, M + 1)[:, None]]), axis=0)
-    return table
+        if fold:
+            rows = (coef @ (rows * unit[series] ** np.arange(M + 1)[:, None])).real
+        acc[..., series] = rows
+    return acc
 
 
 def fundamental_solution(k: float, x):

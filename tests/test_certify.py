@@ -216,3 +216,71 @@ def test_fitted_waves_have_zero_in_every_ball():
     wave, _ = hg.fit_boundary(SQUARE, 1.0, 1.0, M=20)
     for center in ((0.0, 0.0), (1.0, 2.0), (-2.0, 0.5)):
         assert cf.scan_for_zero(wave, center, J01 * 1.001).found
+
+
+def full_grid_scan(wave, center, radius, grid_step=None):
+    """(found, identically_small, n_grid) of scan_for_zero as one pass over the full grid."""
+    c = np.asarray(center, dtype=float)
+    step = 0.05 / wave.k if grid_step is None else grid_step
+    ticks = np.arange(-radius, radius + 0.5 * step, step)
+    gx, gy = np.meshgrid(c[0] + ticks, c[1] + ticks)
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    pts = pts[np.hypot(pts[:, 0] - c[0], pts[:, 1] - c[1]) <= radius]
+    vals = hg.eval_series(wave, pts)
+    if np.max(np.abs(vals)) <= 1e-12 * max(hg.coefficient_norm(wave), 1e-300):
+        return False, True, len(pts)
+    return bool(vals.min() < 0.0 < vals.max()), False, len(pts)
+
+
+def _scan_cases():
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        k = float(rng.uniform(0.3, 3.0))
+        wave = hg.random_wave(int(rng.integers(0, 16)), k, rng,
+                              center=rng.uniform(-1.0, 1.0, 2))
+        radius = J01 / k * float(rng.choice([0.3, 0.7, 1.001, 1.5]))
+        step = None if i % 3 else float(rng.uniform(0.02, 0.3)) / k
+        yield wave, rng.uniform(-2.0, 2.0, 2), radius, step
+    radial = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
+    yield radial, (0.0, 0.0), J01, 0.05            # its zero circle is the ball's edge
+    yield radial, (0.0, 0.0), J01 * 1.001, None
+    yield radial, (0.0, 0.0), 1.0, 0.05            # smaller than j01/k: positive
+    yield radial, (0.3, 0.1), 0.5, 0.01
+    zero = hg.FourierBesselWave(k=1.0, a0=0.0, cos_coeffs=[0.0], sin_coeffs=[0.0])
+    yield zero, (0.0, 0.0), J01, 0.05
+    # J_15 cos(15 phi) changes sign in the unit ball but stays below 1e-16:
+    # identically small, not a witness
+    high = hg.FourierBesselWave(k=1.0, a0=0.0, cos_coeffs=[0.0] * 14 + [1.0],
+                                sin_coeffs=[0.0] * 15)
+    yield high, (0.0, 0.0), 1.0, 0.05
+    tiny = hg.FourierBesselWave(k=2.0, a0=1e-200, cos_coeffs=[1e-200], sin_coeffs=[0.0])
+    yield tiny, (1.0, -1.0), J01 / 2.0 * 1.001, 0.1
+
+
+def test_scan_for_zero_decides_as_the_full_grid():
+    # the stride-4 pass may decide, but the verdicts are the full grid's
+    decided_early = 0
+    for wave, center, radius, step in _scan_cases():
+        scan = cf.scan_for_zero(wave, center, radius, step)
+        found, small, n_full = full_grid_scan(wave, center, radius, step)
+        assert (scan.found, scan.identically_small) == (found, small)
+        assert scan.n_grid <= n_full
+        decided_early += scan.n_grid < n_full
+        if scan.found:
+            assert scan.positive_point is not None and scan.negative_point is not None
+            vp = hg.eval_series(wave, [scan.positive_point])[0]
+            vn = hg.eval_series(wave, [scan.negative_point])[0]
+            assert vp > 0.0 > vn
+    assert decided_early >= 100
+
+
+def test_scan_for_zero_stride_pass_counts_its_points():
+    # a random wave's sign change shows on the coarse grid: 447 of 7,276 points
+    wave = hg.random_wave(10, 1.0, np.random.default_rng(3))
+    scan = cf.scan_for_zero(wave, (0.0, 0.0), J01 * 1.001)
+    assert scan.found and scan.n_grid == 447
+    assert full_grid_scan(wave, (0.0, 0.0), J01 * 1.001)[2] == 7276
+    # a positive wave leaves the decision to the full grid
+    radial = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
+    scan = cf.scan_for_zero(radial, (0.0, 0.0), 1.0, 0.05)
+    assert scan.n_grid == full_grid_scan(radial, (0.0, 0.0), 1.0, 0.05)[2]

@@ -176,6 +176,13 @@ def test_bad_domain_json_exit4(files, capsys):
     ["positive-boundary", "--k", "1e6"],
     ["positive-boundary", "--k", "1e4", "--max-order", "20"],
     ["scan-k", "--k-max", "1e6", "--k-min", "1"],
+    # a k whose zero ball (diameter 2.002 j01 / k in units) overflows
+    ["positive-boundary", "--k", "2e-308"],
+    ["positive-boundary", "--k", "1e-320"],
+    ["positive-set", "--k", "2e-308"],
+    ["positive-set", "--k", "1e-320"],
+    ["scan-k", "--k-min", "1e-320", "--k-max", "3"],
+    ["counterexample", "--k", "1e-320"],
     # a negative seed is no numpy seed
     ["positive-boundary", "--seed", "-1"],
     ["positive-set", "--seed", "-1"],
@@ -238,6 +245,29 @@ def test_bad_flag_values_exit4(files, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
     assert argv[1] in err[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--epsilon", "0.2", "--k", "2e-308"], "--k"),
+    (["--epsilon", "0.2", "--k", "1e-320"], "--k"),
+    # checking the tube a tenth of epsilon apart would take 2e10 points
+    (["--epsilon", "1e-9"], "epsilon"),
+    (["--domain", "thin_tube.json"], "epsilon"),
+], ids=lambda a: " ".join(a) if isinstance(a, list) else a)
+def test_positive_set_tube_route_input_errors_exit4(files, capsys, argv, flag):
+    (files["tmp"] / "thin_tube.json").write_text(json.dumps(
+        {"type": "tube", "spine": [[-1, 0], [1, 0]], "epsilon": 1e-9}))
+    (files["tmp"] / "line.json").write_text(json.dumps({"points": [[-1, 0], [1, 0]]}))
+    argv = [str(files["tmp"] / a) if a.endswith(".json") else a for a in argv]
+    assert run(["positive-set", "--target", str(files["tmp"] / "line.json"), *argv]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and flag in err[0]
+
+
+def test_counterexample_at_k_2e_308_scales_its_disk_into_units(files):
+    out = files["tmp"] / "ce.json"
+    assert run(["counterexample", "--k", "2e-308", "--n-waves", "2", "--out", str(out)]) == 0
+    assert load_strict(out)["circle_radius"] == pytest.approx(sf.bessel_zero(0, 1) / 2e-308)
 
 
 def test_each_command_takes_only_the_flags_it_reads():

@@ -550,3 +550,108 @@ def test_target_json_round_trip(tmp_path):
     assert np.allclose(again.points, ts.points)
     with pytest.raises(g.GeometryError):
         g.targets_from_json({"points": [[0, 0]], "extra": 2})
+
+
+# --- kernels against their earlier formulations ----------------------------------
+
+def dist_to_polyline_3d(pts, poly):
+    """_dist_to_polyline on (points, segments, 2) arrays, as it was first written."""
+    a, b = poly[:-1], poly[1:]
+    ab = b - a
+    ab2 = np.sum(ab * ab, axis=1)
+    pa = pts[:, None, :] - a[None, :, :]
+    dot = np.einsum("pse,se->ps", pa / 16.0, ab)
+    t = np.clip(dot, 0.0, ab2 / 16.0) / (ab2 / 16.0)
+    proj = a[None, :, :] + t[:, :, None] * ab[None, :, :]
+    with np.errstate(over="ignore"):
+        dist = np.hypot(pts[:, None, 0] - proj[:, :, 0], pts[:, None, 1] - proj[:, :, 1])
+        return np.min(dist, axis=1)
+
+
+def _ellipse(n, aspect=2.0):
+    t = 2.0 * math.pi * np.arange(n) / n
+    return np.stack([np.cos(t), np.sin(t) / aspect], axis=1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dist_to_polyline_is_bit_identical_to_the_3d_formulation(seed):
+    rng = np.random.default_rng(seed)
+    ring = _ellipse(int(rng.integers(3, 200)))
+    closed = np.concatenate([ring, ring[:1]])
+    for poly in (rng.uniform(-2.0, 2.0, (int(rng.integers(2, 40)), 2)), closed):
+        pts = np.concatenate([rng.uniform(-3.0, 3.0, (300, 2)), poly[:5],
+                              [[0.1, -1.7e308], [-1.7e308, 0.1], [1.7e308, 1.7e308]]])
+        got = g._dist_to_polyline(pts, poly)  # no warning: pytest makes them errors
+        assert np.array_equal(got, dist_to_polyline_3d(pts, poly))
+        assert got[-1] == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 7, 64, 199])
+def test_polygon_circumradius_is_the_largest_vertex_distance(n):
+    verts = _ellipse(n) + [0.3, -0.2]
+    poly = g.polygon(verts)
+    o = g.centroid(poly)
+    assert g.circumradius(poly) == np.max(np.hypot(*(verts - o).T))
+    assert g.circumradius(poly, (5.0, 0.0)) == np.max(np.hypot(*(verts - [5.0, 0.0]).T))
+    # no boundary point is farther: a dense sampling stays within rounding
+    far = np.max(np.hypot(*(g.sample_boundary(poly, 4096).points - o).T))
+    assert far <= g.circumradius(poly) * (1.0 + 1e-15)
+
+
+def piece_points_general(pc, idx, local):
+    """_piece_points with the masks and both branches, as on a table with arcs."""
+    pts, nrm = np.empty((len(idx), 2)), np.empty((len(idx), 2))
+    arc = pc.radius[idx] > 0.0
+    i, s = idx[~arc], local[~arc]
+    d = pc.b[i] - pc.a[i]
+    L = pc.length[i]
+    pts[~arc] = pc.a[i] + (s / L)[:, None] * d
+    u = d / L[:, None]
+    nrm[~arc] = np.stack([u[:, 1], -u[:, 0]], axis=1)
+    i, s = idx[arc], local[arc]
+    unit = np.stack([np.cos(pc.t0[i] + s / pc.radius[i]), np.sin(pc.t0[i] + s / pc.radius[i])], 1)
+    pts[arc] = pc.a[i] + pc.radius[i][:, None] * unit
+    nrm[arc] = unit
+    return pts, nrm
+
+
+@pytest.mark.parametrize("domain", [
+    g.polygon(_ellipse(199)), g.polygon(L_SHAPE), g.tube_of([[0, 0], [1, 0.3], [2, 0]], 0.2),
+], ids=["ellipse", "L", "bent-tube"])
+def test_segment_only_piece_points_are_bit_identical_to_the_general_path(domain):
+    pc = g._pieces(domain)
+    s = np.random.default_rng(1).uniform(0.0, float(pc.starts[-1]), 4096)
+    idx = np.clip(np.searchsorted(pc.starts, s, side="right") - 1, 0, len(pc.length) - 1)
+    got, want = g._piece_points(pc, idx, s - pc.starts[idx]), \
+        piece_points_general(pc, idx, s - pc.starts[idx])
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("domain", [
+    g.polygon(L_SHAPE), g.polygon(_ellipse(37) + [0.5, 3.0]), g.disk([1.0, -2.0], 0.75),
+    g.tube_of([[0, 0], [1, 0.3], [2, 0]], 0.2), g.tube_of([[0, 0], [1, 1], [2, 0], [1, -1]], 0.1),
+    g.tube_of([[-1, 0], [1, 0]], 0.2),
+], ids=["L", "ellipse", "disk", "bent-tube", "zigzag-tube", "straight-tube"])
+def test_bounding_box_holds_the_boundary_and_touches_it(domain):
+    lo, hi = g.bounding_box(domain)
+    pts = g.sample_boundary(domain, 20000).points
+    assert np.all(pts >= lo - 1e-15) and np.all(pts <= hi + 1e-15)
+    assert np.allclose(pts.min(axis=0), lo, atol=1e-6)
+    assert np.allclose(pts.max(axis=0), hi, atol=1e-6)
+
+
+def test_bounding_box_exact_cases():
+    lo, hi = g.bounding_box(g.disk([1.0, -2.0], 0.75))
+    assert lo.tolist() == [0.25, -2.75] and hi.tolist() == [1.75, -1.25]
+    lo, hi = g.bounding_box(g.polygon(L_SHAPE))
+    assert lo.tolist() == [-1, -1] and hi.tolist() == [1, 1]
+    # a straight tube: the caps' axis extremes are swept
+    lo, hi = g.bounding_box(g.tube_of([[-1, 0], [1, 0]], 0.25))
+    assert lo.tolist() == [-1.25, -0.25] and hi.tolist() == [1.25, 0.25]
+
+
+def test_tube_too_thin_to_check_is_a_geometry_error():
+    # validating it a tenth of epsilon apart would take 2e10 points
+    with pytest.raises(g.GeometryError, match="epsilon"):
+        g.tube_of([[-1, 0], [1, 0]], 1e-9)
+    assert isinstance(g.tube_of([[-1, 0], [1, 0]], 1e-4), g.Tube)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from helmholtz_positivity import certify as cf
 from helmholtz_positivity import dirichlet as dr
 from helmholtz_positivity import geometry as g
 from helmholtz_positivity import herglotz as hg
@@ -295,3 +296,48 @@ def test_wave_json_key_validation():
                            "bogus": 1})
     with pytest.raises(ValueError):
         hg.wave_from_json({"k": 1.0, "M": 1, "a0": 1.0, "ac": [], "as": []})
+
+
+def table_then_sum(wave, pts):
+    """eval_series as the J table then a loop over m: the order the fold replaces."""
+    rel = np.atleast_2d(np.asarray(pts, dtype=float)) - wave.center
+    r = np.hypot(rel[:, 0], rel[:, 1])
+    z = rel[:, 0] + 1j * rel[:, 1]
+    unit = np.divide(z, r, out=np.ones_like(z), where=r > 0.0)
+    J = sf.bessel_j_table(wave.M, wave.k * r)
+    out = wave.a0 * J[0]
+    power = np.ones_like(unit)
+    for m, (ac, as_) in enumerate(zip(wave.cos_coeffs, wave.sin_coeffs), start=1):
+        power *= unit
+        out += J[m] * (ac * power.real + as_ * power.imag)
+    return out
+
+
+@pytest.mark.parametrize("M", [0, 1, 13, 40, 200])
+def test_eval_series_agrees_with_table_then_sum(M):
+    rng = np.random.default_rng(300 + M)
+    wave = hg.random_wave(M, 1.3, rng, center=(0.25, -0.5))
+    radius = np.concatenate([[0.0, 1e-31, 1e-3], rng.uniform(0.0, (M + 5) / 1.3, 200)])
+    angle = rng.uniform(0.0, 2.0 * math.pi, len(radius))
+    pts = wave.center + radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    got = hg.eval_series(wave, pts)
+    rounding = cf.certify_positive_on_set(wave, g.target_set(pts)).rounding
+    assert np.all(np.abs(got - table_then_sum(wave, pts)) <= rounding)
+    assert got[0] == wave.a0  # r = 0: the series values, J_0 = 1 and J_m = 0
+
+
+def test_eval_series_agrees_with_table_then_sum_where_the_recurrence_rescales():
+    # kr down to 1e-25 at M = 200: the bound passes 1e250 every few orders,
+    # and the columns at small kr grow past 1, so the sum is rescaled with them
+    rng = np.random.default_rng(7)
+    wave = hg.random_wave(200, 1.0, rng)
+    radius = np.array([1e-25, 1e-18, 1e-12, 1e-6, 1e-3, 0.5, 2.0])
+    angle = rng.uniform(0.0, 2.0 * math.pi, len(radius))
+    pts = radius[:, None] * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    got = hg.eval_series(wave, pts)
+    rounding = cf.certify_positive_on_set(wave, g.target_set(pts)).rounding
+    assert np.all(np.abs(got - table_then_sum(wave, pts)) <= rounding)
+    # J_1(kr) = kr/2 to double precision at kr <= 1e-12
+    lead = wave.a0 + 0.5 * radius * (wave.cos_coeffs[0] * np.cos(angle)
+                                      + wave.sin_coeffs[0] * np.sin(angle))
+    assert np.all(np.abs(got[:3] - lead[:3]) <= 1e-15 * abs(wave.a0))

@@ -218,9 +218,9 @@ def test_scrambled_halton_equals_scipy(seed):
 
 
 def scipy_halton_interior(domain, n, seed):
-    """halton_interior as it was written on top of scipy's sampler."""
-    pieces = g.sample_boundary(domain, 256).points
-    lo, hi = pieces.min(axis=0), pieces.max(axis=0)
+    """halton_interior as it was written on top of scipy's sampler, over the
+    domain's exact bounding box."""
+    lo, hi = g.bounding_box(domain)
     sampler = qmc.Halton(d=2, scramble=True, seed=seed)
     out, need = [], n
     while need > 0:
