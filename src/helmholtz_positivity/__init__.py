@@ -44,12 +44,10 @@ from .geometry import (
     area,
     boundary_distance,
     centroid,
-    contains,
     disk,
     domain_from_json,
     domain_to_json,
     load_domain,
-    locate,
     perimeter,
     polygon,
     sample_boundary,

@@ -138,11 +138,11 @@ def certify_positive_on_set(wave: herglotz.FourierBesselWave,
 
 
 def sign_change_on_circle(wave: herglotz.FourierBesselWave, m: int,
-                          n_samples: int = 1024, center=(0.0, 0.0)) -> SignChangeReport:
-    """Sample the wave on the circle of radius j_{0,m}/k about `center`.
+                          n_samples: int = 1024) -> SignChangeReport:
+    """Sample the wave on the circle of radius j_{0,m}/k about the origin.
 
     Any nonzero real entire solution must change sign there; the flux
-    integral of u against the radial derivative of J0(k|x - center|)
+    integral of u against the radial derivative of J0(k|x|)
     (which vanishes on that circle) is zero by the divergence identity for
     two solutions. The radial wave itself vanishes identically on the
     circle; that degenerate case is detected and excluded from the
@@ -156,13 +156,12 @@ def sign_change_on_circle(wave: herglotz.FourierBesselWave, m: int,
         raise ValueError("zero index m must be >= 1")
     k = wave.k
     radius = specfun.bessel_zero(0, m) / k
-    c = np.asarray(center, dtype=float).reshape(2)
     theta = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    pts = c + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     vals = herglotz.eval_series(wave, pts)
     vmin, vmax = float(np.min(vals)), float(np.max(vals))
     degenerate = float(np.max(np.abs(vals))) <= 1e-10 * norm
-    # v(x) = J0(k|x - c|) vanishes at the sampled radius; d/dr v = -k J1(kR).
+    # v(x) = J0(k|x|) vanishes at the sampled radius; d/dr v = -k J1(kR).
     dvdr = -k * _j1(k * radius)
     flux = dvdr * radius * (2.0 * math.pi / n_samples) * float(np.sum(vals))
     return SignChangeReport(circle_radius=radius, min_on_circle=vmin,
@@ -177,14 +176,14 @@ def _j1(x: float) -> float:
     return specfun.bessel_j_table(1, [x])[1, 0]
 
 
-def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float,
-                  grid_step: float | None = None) -> ZeroScan:
+def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float) -> ZeroScan:
     """Grid-scan a closed ball for a sign change of the wave.
 
     A pair of opposite-sign grid points witnesses a zero by continuity.
-    The guarantee that one exists applies once radius >= j01/k. Default
-    step 0.05/k: zero sets of Helmholtz solutions have sub-wavelength
-    spacing, so a sub-wavelength grid suffices in practice.
+    The guarantee that one exists applies once radius >= j01/k. The grid
+    step is 0.05/k: zero sets of Helmholtz solutions have sub-wavelength
+    spacing, so a sub-wavelength grid suffices in practice. A ball that
+    holds no grid point (radius below about 0.025/k) is a ValueError.
 
     The grid of every fourth tick (the full grid's points, bit for bit) goes
     first, and its sign change counts only if both extremes exceed the
@@ -194,11 +193,10 @@ def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float,
     deciding pass's.
     """
     c = np.asarray(center, dtype=float).reshape(2)
-    if grid_step is None:
-        grid_step = 0.05 / wave.k
-    if not (radius > 0.0 and grid_step > 0.0):
-        raise ValueError("radius and grid_step must be positive")
-    ticks = np.arange(-radius, radius + 0.5 * grid_step, grid_step)
+    step = 0.05 / wave.k
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    ticks = np.arange(-radius, radius + 0.5 * step, step)
     small = 1e-12 * max(herglotz.coefficient_norm(wave), 1e-300)
     for sub in (ticks[::4], ticks):
         gx, gy = np.meshgrid(c[0] + sub, c[1] + sub)
@@ -207,6 +205,9 @@ def scan_for_zero(wave: herglotz.FourierBesselWave, center, radius: float,
         vals = herglotz.eval_series(wave, pts)
         if len(vals) and -vals.min() > small and vals.max() > small:
             break
+    if not len(vals):
+        raise ValueError(f"no grid point of step {step:g} lies in the ball of "
+                         f"radius {radius:g}")
     if float(np.max(np.abs(vals))) <= small:
         return ZeroScan(found=False, positive_point=None, negative_point=None,
                         identically_small=True, n_grid=len(pts))

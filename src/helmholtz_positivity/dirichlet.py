@@ -263,11 +263,10 @@ def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
                        effective_rank=sol.effective_rank, n_collocation=len(col))
 
 
-def disk_solution(d: geometry.Disk, k: float, c0: float,
-                  eigen_tol: float = 1e-8) -> DiskSolution:
-    """Exact disk solution; rejects kR within eigen_tol of a zero of J0."""
+def disk_solution(d: geometry.Disk, k: float, c0: float) -> DiskSolution:
+    """Exact disk solution; rejects kR where |J0(kR)| <= 1e-8, near a zero of J0."""
     denom = specfun.bessel_j_table(0, [k * d.radius])[0, 0]
-    if abs(denom) <= eigen_tol:
+    if abs(denom) <= 1e-8:
         raise NearEigenvalueError(
             f"J0(kR) = {denom:.3e}: k^2 is (numerically) a Dirichlet eigenvalue")
     return DiskSolution(center=d.center.copy(), radius=d.radius, k=float(k),

@@ -49,9 +49,7 @@ __all__ = [
     "boundary_points_at",
     "joint_arclengths",
     "boundary_distance",
-    "locate",
     "locate_points",
-    "contains",
     "inside_mask",
     "domain_to_json",
     "domain_from_json",
@@ -520,14 +518,20 @@ def centroid(domain) -> np.ndarray:
 
 
 def circumradius(domain, origin=None) -> float:
-    """Maximum boundary distance from `origin` (default: the centroid): exact for
-    polygons (|p - o| is convex along an edge) and disks, sampled for tubes."""
+    """Maximum boundary distance from `origin` (default: the centroid), exactly.
+    |p - o| is convex along a segment, so a polygon's maximum is at a vertex,
+    and a tube, the union of the epsilon-disks about its spine's segments,
+    reaches epsilon beyond its spine's farthest vertex."""
     o = centroid(domain) if origin is None else np.asarray(origin, dtype=float)
     if isinstance(domain, Disk):
         return float(np.hypot(*(domain.center - o)) + domain.radius)
-    pts = (domain.vertices if isinstance(domain, Polygon)
-           else sample_boundary(domain, 512).points)
-    return float(np.max(np.hypot(pts[:, 0] - o[0], pts[:, 1] - o[1])))
+    if isinstance(domain, Polygon):
+        pts, pad = domain.vertices, 0.0
+    elif isinstance(domain, Tube):
+        pts, pad = domain.spine, domain.epsilon
+    else:
+        raise GeometryError(f"not a domain: {domain!r}")
+    return float(np.max(np.hypot(pts[:, 0] - o[0], pts[:, 1] - o[1]))) + pad
 
 
 def bounding_box(domain):
@@ -650,16 +654,6 @@ def locate_points(domain, points, tol: float = BOUNDARY_TOL) -> np.ndarray:
     out[inside] = INSIDE
     out[on_bdry] = BOUNDARY
     return out
-
-
-def locate(domain, point, tol: float = BOUNDARY_TOL) -> str:
-    code = locate_points(domain, np.asarray(point, dtype=float).reshape(1, 2), tol)[0]
-    return {INSIDE: "inside", BOUNDARY: "boundary", OUTSIDE: "outside"}[int(code)]
-
-
-def contains(domain, point, tol: float = BOUNDARY_TOL) -> bool:
-    """Strict interior containment (boundary points report False)."""
-    return locate(domain, point, tol) == "inside"
 
 
 def inside_mask(domain, points, tol: float = BOUNDARY_TOL) -> np.ndarray:

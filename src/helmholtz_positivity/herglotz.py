@@ -47,6 +47,7 @@ __all__ = [
     "density_l1_bound",
     "coefficient_norm",
     "default_truncation",
+    "min_collocation",
     "fit_boundary",
     "fit_interior",
     "far_field",
@@ -218,14 +219,14 @@ def _centered_density_coeffs(wave: FourierBesselWave) -> np.ndarray:
     return c
 
 
-def to_density(wave: FourierBesselWave, tail_tol: float = 1e-15) -> HerglotzDensity:
+def to_density(wave: FourierBesselWave) -> HerglotzDensity:
     """Density whose plane-wave superposition reproduces the wave.
 
     For a wave expanded about the origin the coefficient map is exact and
     finite. A nonzero center multiplies the density by the unimodular
     phase e^{-i k center . z(theta)}, which widens the spectrum; the
     result is then re-expanded by FFT and truncated once coefficients
-    fall below tail_tol relative to the largest.
+    fall below 1e-15 relative to the largest.
     """
     c = _centered_density_coeffs(wave)
     if np.hypot(*wave.center) == 0.0:
@@ -244,7 +245,7 @@ def to_density(wave: FourierBesselWave, tail_tol: float = 1e-15) -> HerglotzDens
     spectrum = np.fft.fft(f_shift) / n
     coeffs = np.concatenate([spectrum[-M2:], spectrum[: M2 + 1]])  # m = -M2..M2
     mags = np.abs(coeffs)
-    big = np.nonzero(mags > tail_tol * mags.max())[0]
+    big = np.nonzero(mags > 1e-15 * mags.max())[0]
     half = max(abs(int(i) - M2) for i in big) if len(big) else 0
     coeffs = coeffs[M2 - half: M2 + half + 1]
     return HerglotzDensity(k=wave.k, coeffs=coeffs)
@@ -263,6 +264,12 @@ def default_truncation(k: float, domain) -> int:
     """ceil(k * circumradius about the centroid) + 10; higher modes only
     feed ill-conditioning since Jm(kr) is negligible for m >> kr."""
     return int(math.ceil(k * geometry.circumradius(domain))) + 10
+
+
+def min_collocation(M: int) -> int:
+    """Fewest collocation points fit_boundary takes at order M: four per
+    coefficient, or 32 if that is fewer."""
+    return min(32, 4 * (2 * M + 1))
 
 
 def _validation_report(wave, misfit: np.ndarray, mode_text: str, n_col: int) -> FitReport:
@@ -302,7 +309,7 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     M = int(M)
     if n_col is None:
         n_col = max(32, 4 * (2 * M + 1))
-    if n_col < 4 * (2 * M + 1) and n_col < 32:
+    if n_col < min_collocation(M):
         raise ValueError("n_col too small for the requested order")
     center = geometry.centroid(domain)
 
@@ -392,12 +399,12 @@ def _leading_term(density: HerglotzDensity, direction: np.ndarray,
     return amp * (np.exp(1j * ph) * f_fwd + np.exp(-1j * ph) * f_bwd)
 
 
-def far_field(obj, direction, radii, n_window: int = 8) -> FarFieldReport:
+def far_field(obj, direction, radii) -> FarFieldReport:
     """Compare u along a ray against its leading large-radius form.
 
     The remainder oscillates inside an r^{-3/2} envelope, so the decay
-    exponent is fitted on per-window maxima (windows of n_window
-    consecutive radii) rather than raw points.
+    exponent is fitted on per-window maxima (windows of 8 consecutive
+    radii) rather than raw points.
     """
     density = obj if isinstance(obj, HerglotzDensity) else to_density(obj)
     d = np.asarray(direction, dtype=float).reshape(2)
@@ -410,7 +417,7 @@ def far_field(obj, direction, radii, n_window: int = 8) -> FarFieldReport:
     dev = np.abs(u - _leading_term(density, d, radii))
     rel = dev / np.maximum(np.abs(u), 1e-300)
 
-    groups = max(2, len(radii) // max(1, n_window))
+    groups = max(2, len(radii) // 8)
     edges = [e for e in np.array_split(np.arange(len(radii)), groups) if len(e)]
     rc = np.array([np.exp(np.mean(np.log(radii[e]))) for e in edges])
     env = np.array([np.max(dev[e]) for e in edges])

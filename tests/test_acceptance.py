@@ -148,7 +148,7 @@ def test_criterion_07_mean_value_identity():
             done = 0
             while done < 10:
                 c = rng.uniform(lo, hi)
-                if not g.contains(domain, c):
+                if not g.inside_mask(domain, c)[0]:
                     continue
                 room = float(g.boundary_distance(domain, c.reshape(1, 2))[0])
                 if room <= 1e-6:

@@ -191,7 +191,7 @@ def test_scale_covariant_obstruction():
 
 def test_radial_wave_rim_crossing():
     wave = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
-    scan = cf.scan_for_zero(wave, (0.0, 0.0), J01 * 1.001, 0.05)
+    scan = cf.scan_for_zero(wave, (0.0, 0.0), J01 * 1.001)
     assert scan.found
     vp = hg.eval_series(wave, [scan.positive_point])[0]
     vn = hg.eval_series(wave, [scan.negative_point])[0]
@@ -200,7 +200,7 @@ def test_radial_wave_rim_crossing():
 
 def test_zero_wave_scan_flagged():
     wave = hg.FourierBesselWave(k=1.0, a0=0.0, cos_coeffs=[0.0], sin_coeffs=[0.0])
-    scan = cf.scan_for_zero(wave, (0.0, 0.0), J01, 0.05)
+    scan = cf.scan_for_zero(wave, (0.0, 0.0), J01)
     assert not scan.found
     assert scan.identically_small
 
@@ -208,7 +208,7 @@ def test_zero_wave_scan_flagged():
 def test_positive_wave_in_small_ball_not_found():
     # radius below j01/k: the guarantee does not apply; J0 is positive there
     wave = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
-    scan = cf.scan_for_zero(wave, (0.0, 0.0), 1.0, 0.05)
+    scan = cf.scan_for_zero(wave, (0.0, 0.0), 1.0)
     assert not scan.found
 
 
@@ -218,10 +218,10 @@ def test_fitted_waves_have_zero_in_every_ball():
         assert cf.scan_for_zero(wave, center, J01 * 1.001).found
 
 
-def full_grid_scan(wave, center, radius, grid_step=None):
+def full_grid_scan(wave, center, radius):
     """(found, identically_small, n_grid) of scan_for_zero as one pass over the full grid."""
     c = np.asarray(center, dtype=float)
-    step = 0.05 / wave.k if grid_step is None else grid_step
+    step = 0.05 / wave.k
     ticks = np.arange(-radius, radius + 0.5 * step, step)
     gx, gy = np.meshgrid(c[0] + ticks, c[1] + ticks)
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
@@ -239,30 +239,30 @@ def _scan_cases():
         wave = hg.random_wave(int(rng.integers(0, 16)), k, rng,
                               center=rng.uniform(-1.0, 1.0, 2))
         radius = J01 / k * float(rng.choice([0.3, 0.7, 1.001, 1.5]))
-        step = None if i % 3 else float(rng.uniform(0.02, 0.3)) / k
-        yield wave, rng.uniform(-2.0, 2.0, 2), radius, step
+        yield wave, rng.uniform(-2.0, 2.0, 2), radius
     radial = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
-    yield radial, (0.0, 0.0), J01, 0.05            # its zero circle is the ball's edge
-    yield radial, (0.0, 0.0), J01 * 1.001, None
-    yield radial, (0.0, 0.0), 1.0, 0.05            # smaller than j01/k: positive
-    yield radial, (0.3, 0.1), 0.5, 0.01
+    yield radial, (0.0, 0.0), J01                  # its zero circle is the ball's edge
+    yield radial, (0.0, 0.0), J01 * 1.001
+    yield radial, (0.0, 0.0), 1.0                  # smaller than j01/k: positive
+    yield radial, (0.3, 0.1), 0.5
+    yield radial, (0.3, 0.1), 0.03                 # one point, on the full grid only
     zero = hg.FourierBesselWave(k=1.0, a0=0.0, cos_coeffs=[0.0], sin_coeffs=[0.0])
-    yield zero, (0.0, 0.0), J01, 0.05
+    yield zero, (0.0, 0.0), J01
     # J_15 cos(15 phi) changes sign in the unit ball but stays below 1e-16:
     # identically small, not a witness
     high = hg.FourierBesselWave(k=1.0, a0=0.0, cos_coeffs=[0.0] * 14 + [1.0],
                                 sin_coeffs=[0.0] * 15)
-    yield high, (0.0, 0.0), 1.0, 0.05
+    yield high, (0.0, 0.0), 1.0
     tiny = hg.FourierBesselWave(k=2.0, a0=1e-200, cos_coeffs=[1e-200], sin_coeffs=[0.0])
-    yield tiny, (1.0, -1.0), J01 / 2.0 * 1.001, 0.1
+    yield tiny, (1.0, -1.0), J01 / 2.0 * 1.001
 
 
 def test_scan_for_zero_decides_as_the_full_grid():
     # the stride-4 pass may decide, but the verdicts are the full grid's
     decided_early = 0
-    for wave, center, radius, step in _scan_cases():
-        scan = cf.scan_for_zero(wave, center, radius, step)
-        found, small, n_full = full_grid_scan(wave, center, radius, step)
+    for wave, center, radius in _scan_cases():
+        scan = cf.scan_for_zero(wave, center, radius)
+        found, small, n_full = full_grid_scan(wave, center, radius)
         assert (scan.found, scan.identically_small) == (found, small)
         assert scan.n_grid <= n_full
         decided_early += scan.n_grid < n_full
@@ -282,5 +282,13 @@ def test_scan_for_zero_stride_pass_counts_its_points():
     assert full_grid_scan(wave, (0.0, 0.0), J01 * 1.001)[2] == 7276
     # a positive wave leaves the decision to the full grid
     radial = hg.FourierBesselWave(k=1.0, a0=1.0, cos_coeffs=[], sin_coeffs=[])
-    scan = cf.scan_for_zero(radial, (0.0, 0.0), 1.0, 0.05)
-    assert scan.n_grid == full_grid_scan(radial, (0.0, 0.0), 1.0, 0.05)[2]
+    scan = cf.scan_for_zero(radial, (0.0, 0.0), 1.0)
+    assert scan.n_grid == full_grid_scan(radial, (0.0, 0.0), 1.0)[2]
+
+
+@pytest.mark.parametrize("k, radius", [(1.0, 0.01), (1.0, 0.02), (4.0, 0.005)])
+def test_scan_for_zero_ball_without_grid_points_is_a_value_error(k, radius):
+    # the one tick -radius gives the corner (-radius, -radius), outside the ball
+    wave = hg.random_wave(3, k, np.random.default_rng(5))
+    with pytest.raises(ValueError, match=f"step {0.05 / k:g}.*radius {radius:g}"):
+        cf.scan_for_zero(wave, (0.0, 0.0), radius)

@@ -479,7 +479,8 @@ def test_positive_set_tube_domain_certifies_the_targets_only(files):
 
 
 def test_standard_checks_evaluate_each_check_once(files, monkeypatch):
-    # two scale evaluations, the mean-value circles, the FD stencil, the zero-ball scan
+    # the certifying reports' one check: a scale evaluation and the mean-value
+    # circles; the FD and zero-ball identities run in selftest
     domain = geometry.load_domain(files["square.json"])
     wave, _ = herglotz.fit_boundary(domain, 1.0, 1.0)
     calls = []
@@ -490,10 +491,15 @@ def test_standard_checks_evaluate_each_check_once(files, monkeypatch):
         return real(w, pts)
 
     monkeypatch.setattr(herglotz, "eval_series", counted)
-    checks = cli._standard_checks(wave, domain, 1.0, 42)
-    assert len(calls) <= 5
-    assert [c["name"] for c in checks] == ["mean_value", "pde_residual_fd", "zero_ball"]
-    assert all(c["passed"] for c in checks)
+    check = cli._check_mean_value(wave, domain, 1.0, 42)
+    assert len(calls) <= 2
+    assert check["name"] == "mean_value" and check["passed"]
+    monkeypatch.undo()
+    for argv in (["positive-boundary", "--domain", files["square.json"]],
+                 ["positive-set", "--target", files["targets.json"], "--epsilon", "0.2"]):
+        out = str(files["tmp"] / "checks.json")
+        assert run(argv + ["--out", out]) == 0
+        assert [c["name"] for c in load(out)["checks"]] == ["mean_value"]
 
 
 def test_positive_set_equality_case_rejected(files):
@@ -667,7 +673,7 @@ def test_every_scale_gives_the_unit_result(files, capsys, case):
     # domain in units of its power of two: with every length times 2^e and
     # k times 2^-e the run is the unit run, bit for bit, where areas overflow
     # (2^600), where absolute tolerances rejected the domain or its targets
-    # (2^-40, 2^-200), and where an absolute FD step failed a check (2^40)
+    # (2^-40, 2^-200), and above unit size (2^40, 2^200)
     code0, rep0, wave0 = _run_scaled(files["tmp"], case, 0)
     assert code0 == 0
     for e in (-200, -40, 40, 200, 600):
@@ -738,6 +744,7 @@ def test_selftest_passes(files, capsys):
     assert run(["selftest"]) == 0
     text = capsys.readouterr().out
     assert "PASS" in text and "FAIL" not in text
+    assert "pde_residual_fd" in text and "zero_ball_monte_carlo" in text
 
 
 def test_selftest_detects_fault_injection(files, capsys, monkeypatch):
@@ -766,4 +773,18 @@ def test_selftest_detects_fault_injection(files, capsys, monkeypatch):
     checks = dict((name, (res, tol))
                   for name, res, tol in cli._selftest_checks(seed=1))
     res, tol = checks["fit_vs_disk_closed_form"]
+    assert res > tol
+    monkeypatch.undo()
+
+    # a field off by 1e-3 x^2, which no Helmholtz solution is, must trip the
+    # five-point residual
+    series = herglotz.eval_series
+
+    def off(wave, pts):
+        return series(wave, pts) + 1e-3 * np.atleast_2d(pts)[:, 0] ** 2
+
+    monkeypatch.setattr(herglotz, "eval_series", off)
+    checks = dict((name, (res, tol))
+                  for name, res, tol in cli._selftest_checks(seed=1))
+    res, tol = checks["pde_residual_fd"]
     assert res > tol

@@ -425,22 +425,22 @@ def test_normals_have_unit_length(domain):
 # --- containment ---------------------------------------------------------------
 
 def test_contains_trivia():
+    # inside_mask is strict: a boundary point is not inside
     d = g.disk([0, 0], 1.0)
-    assert g.contains(d, [0, 0])
-    assert not g.contains(d, [2, 0])
-    assert g.locate(d, [1, 0]) == "boundary"
+    assert g.inside_mask(d, [[0, 0], [2, 0], [1, 0]]).tolist() == [True, False, False]
+    assert g.locate_points(d, [1, 0]).tolist() == [g.BOUNDARY]
     sq = g.polygon(UNIT_SQUARE)
-    assert g.contains(sq, [0.5, 0.5])
-    assert not g.contains(sq, [1.5, 0.5])
-    assert g.locate(sq, [1.0, 0.5]) == "boundary"
+    assert g.inside_mask(sq, [[0.5, 0.5], [1.5, 0.5], [1.0, 0.5]]).tolist() == \
+        [True, False, False]
+    assert g.locate_points(sq, [1.0, 0.5]).tolist() == [g.BOUNDARY]
 
 
 def test_boundary_tolerance_three_valued():
     sq = g.polygon(UNIT_SQUARE)
-    assert g.locate(sq, [0.5, 1e-13]) == "boundary"
-    assert g.locate(sq, [0.5, 1e-9]) == "inside"
-    assert g.locate(sq, [0.5, -1e-9]) == "outside"
-    assert g.locate(sq, [0.5, 1e-7], tol=1e-6) == "boundary"
+    assert g.locate_points(sq, [[0.5, 1e-13], [0.5, 1e-9], [0.5, -1e-9]]).tolist() == \
+        [g.BOUNDARY, g.INSIDE, g.OUTSIDE]
+    assert g.locate_points(sq, [0.5, 1e-7], tol=1e-6).tolist() == [g.BOUNDARY]
+    assert not g.inside_mask(sq, [0.5, 1e-7], tol=1e-6)[0]
 
 
 def _winding_inside(verts, pts):
@@ -596,6 +596,25 @@ def test_polygon_circumradius_is_the_largest_vertex_distance(n):
     # no boundary point is farther: a dense sampling stays within rounding
     far = np.max(np.hypot(*(g.sample_boundary(poly, 4096).points - o).T))
     assert far <= g.circumradius(poly) * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("spine, eps", [
+    ([[-1, 0], [1, 0]], 0.2), ([[0, 0], [1, 0.3], [2, 0]], 0.2),
+    ([[0, 0], [1, 1], [2, 0], [1, -1]], 0.1), ([[0.8 * i, 0.4 * (i % 2)] for i in range(11)], 0.2),
+], ids=["straight", "bent", "zigzag", "zig10"])
+def test_tube_circumradius_is_the_farthest_spine_vertex_plus_epsilon(spine, eps):
+    tube = g.tube_of(spine, eps)
+    dense = g.sample_boundary(tube, 20000).points
+    # (1, -5) puts the bent spine's middle vertex farthest, on an outer corner arc
+    for o in (g.centroid(tube), np.array([5.0, -1.0]), np.array([1.0, -5.0])):
+        r = g.circumradius(tube, o)
+        # no boundary point is farther: a dense sampling stays within rounding
+        assert np.max(np.hypot(*(dense - o).T)) <= r * (1.0 + 1e-15)
+        # and the boundary reaches it, epsilon beyond the farthest vertex
+        v = tube.spine[np.argmax(np.hypot(*(tube.spine - o).T))]
+        p = v + eps * (v - o) / np.hypot(*(v - o))
+        assert g.boundary_distance(tube, p)[0] <= 1e-12
+        assert abs(np.hypot(*(p - o)) - r) <= 1e-12 * r
 
 
 def piece_points_general(pc, idx, local):
