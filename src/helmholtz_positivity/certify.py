@@ -74,6 +74,10 @@ class ZeroScan:
 _TABLE_ERROR = 2e-15
 
 
+def _l1(wave: herglotz.FourierBesselWave) -> float:
+    return abs(wave.a0) + float(np.sum(np.abs(wave.cos_coeffs)) + np.sum(np.abs(wave.sin_coeffs)))
+
+
 def _certificate(wave: herglotz.FourierBesselWave, points: np.ndarray,
                  gap: float) -> PositivityCertificate:
     """Sampled minimum of the wave at `points`, less the Lipschitz and rounding terms.
@@ -98,26 +102,38 @@ def _certificate(wave: herglotz.FourierBesselWave, points: np.ndarray,
       at most sqrt(5) eps, so w^m is off by m (sqrt(5) + 1.5) eps; the
       fold's additions at orders m .. 0 add (m + 1) eps/2, the product
       c_m J~_m eps/2, and the division by N eps/2 (below kr = 1e-30 the
-      series values are summed: J_0 = 1, the other terms < 1e-30 |c_m|).
+      series values are summed: J_0 = 1, the other terms < 1e-30 |c_m|);
+    - underflow: a subnormal result errs by up to 2^-1075 absolutely. The
+      recurrence, fold and rescales make at most 20 real operations per
+      order from the start order S down, and N exceeds the start value
+      1e-300 (measured: at least 4e-276 at orders up to 200 and arguments
+      up to 300), so underflow adds below 5e-23 (S + 1) < eps/2 ||c||_1 for
+      S < 10^6 once ||c||_1 >= 1. So a wave with ||c||_1 < 1 is evaluated on
+      a copy times the power of two 2^e that puts ||c||_1 in [1, 2): the
+      margin's sign is decided there, and the values are scaled back.
 
     With m <= M the sum is below
-    (_TABLE_ERROR + (M (sqrt(5) + 2) + 3/2 + 3 k r_max) eps) ||c||_1, inside
+    (_TABLE_ERROR + (M (sqrt(5) + 2) + 2 + 3 k r_max) eps) ||c||_1, inside
     rounding = (_TABLE_ERROR + (7M + 4 + 3 k r_max) eps) ||c||_1.
     """
+    c1 = _l1(wave)
+    e = 1 - math.frexp(c1)[1] if 0.0 < c1 < 1.0 else 0
+    if e:
+        wave = herglotz.scaled_wave(wave, e)
+        c1 = _l1(wave)
     values = herglotz.eval_series(wave, points)
     lip = wave.k * herglotz.density_l1_bound(wave)
-    c1 = abs(wave.a0) + float(np.sum(np.abs(wave.cos_coeffs)) + np.sum(np.abs(wave.sin_coeffs)))
     reach = wave.k * float(np.max(np.hypot(points[:, 0] - wave.center[0],
                                            points[:, 1] - wave.center[1])))
     rounding = (_TABLE_ERROR + (7 * wave.M + 4 + 3 * reach) * np.finfo(float).eps) * c1
     i = int(np.argmin(values))
     margin = float(values[i]) - lip * gap / 2.0 - rounding
     return PositivityCertificate(
-        min_sample=float(values[i]),
-        lipschitz_bound=lip,
+        min_sample=math.ldexp(float(values[i]), -e),
+        lipschitz_bound=math.ldexp(lip, -e),
         max_gap=gap,
-        rounding=rounding,
-        certified_margin=margin,
+        rounding=math.ldexp(rounding, -e),
+        certified_margin=math.ldexp(margin, -e),
         certified=bool(margin > 0.0),
         n_samples=len(values),
         min_point=tuple(points[i]),

@@ -17,9 +17,10 @@ The commands report the spectral gate (herglotz.fit_boundary only fits), both
 certifying commands end in one fit-and-certify tail (_certified), and each
 subcommand declares only the flags it reads (_COMMANDS).
 
-Each command makes one unit decision (_in_units): gate, fit, certificate and
-check run on the domain divided by its power of two s, at k * s, and reported
-lengths are scaled back exactly (the check reports in the copy's units).
+Each command makes two unit decisions: gate, fit, certificate and check run
+on the domain divided by its power of two s, at k * s (_in_units), and at c0
+divided by its power of two (_c0_units). Reported lengths and values are
+scaled back exactly (_scaled); one past the float range is written as null.
 
 Exit codes: 0 success/certified, 3 a certificate that does not certify, 4
 input error (usage errors too). The certificate alone decides between 0 and 3:
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import certify, dirichlet, geometry, herglotz, linalg, specfun
+from . import certify, dirichlet, geometry, herglotz, specfun
 
 EXIT_OK = 0
 EXIT_UNCERTIFIED = 3
@@ -106,6 +107,19 @@ def _gate_dict(gate: dirichlet.SpectralGate, s: float) -> dict:
         "lambda1_lower_bound": float(gate.lambda1_lower_bound) / s / s,
         "passes": gate.passes,
     }
+
+
+def _scaled(block: dict, e: int, *keys) -> dict:
+    """block with the values of `keys` times 2^e: exact unless subnormal, and
+    inf (null in a report) past the float range."""
+    with np.errstate(over="ignore"):
+        return {**block, **{key: float(np.ldexp(block[key], e)) for key in keys}}
+
+
+def _c0_units(c0: float):
+    """(c0 / 2^e, e) with the copy in [1, 2) in magnitude (e = 0 at c0 = 0), exactly."""
+    e = math.frexp(c0)[1] - 1 if c0 else 0
+    return math.ldexp(c0, -e), e
 
 
 def _in_units(domain, k: float, flag: str = "--k"):
@@ -177,20 +191,24 @@ def cmd_positive_set(args) -> int:
 
 
 def _fit(domain, k: float, args, M, n_col=None):
-    """(wave, fit report, converged): herglotz.fit_boundary to --c0, whose
-    FitFailedError still carries the wave it rejects (converged False)."""
+    """(wave, fit report, converged) of herglotz.fit_boundary at --c0 in units
+    (_c0_units), whose FitFailedError still carries the wave it rejects
+    (converged False); the report is a dict scaled back to --c0."""
+    c0, e = _c0_units(args.c0)
     try:
-        return (*herglotz.fit_boundary(domain, k, args.c0, M=M, n_col=n_col,
-                                       mode=args.mode), True)
+        wave, fit = herglotz.fit_boundary(domain, k, c0, M=M, n_col=n_col)
+        converged = True
     except herglotz.FitFailedError as exc:
-        return exc.wave, exc.report, False
+        wave, fit, converged = exc.wave, exc.report, False
+    return wave, _scaled(dataclasses.asdict(fit), e, "residual_max", "residual_l2",
+                         "coefficient_norm"), converged
 
 
 def _certified(report, domain, s, k, certify_on, where, args, t0) -> int:
-    """The tail of both certifying pipelines on a unit copy (_in_units): fit c0
-    on the domain boundary, certify the wave with certify_on(wave, where), then
-    the mean-value check, the report, --wave, --csv (values at where.points),
-    exit code.
+    """The tail of both certifying pipelines on a unit copy (_in_units, _c0_units):
+    fit c0 on the domain boundary, certify the wave with certify_on(wave,
+    where), then the mean-value check, the report, --wave (an input error if
+    it overflows), --csv (values at where.points), exit code.
 
     The certificate is a proof for whatever wave it is given, so the wave of
     a fit that did not converge is certified too; the exit code is 0 or 3 by
@@ -200,17 +218,24 @@ def _certified(report, domain, s, k, certify_on, where, args, t0) -> int:
     if args.n_col is not None and args.n_col < floor:
         raise InputError(f"--n-col must be at least {floor}, got {args.n_col}")
     wave, fit, converged = _fit(domain, k, args, M, n_col=args.n_col)
+    e = _c0_units(args.c0)[1]
     cert = certify_on(wave, where)
-    report["fit"] = {**dataclasses.asdict(fit), "converged": converged}
-    report["certificate"] = dataclasses.asdict(dataclasses.replace(
+    report["fit"] = {**fit, "converged": converged}
+    report["certificate"] = _scaled(dataclasses.asdict(dataclasses.replace(
         cert, lipschitz_bound=cert.lipschitz_bound / s, max_gap=cert.max_gap * s,
-        min_point=tuple(np.multiply(cert.min_point, s))))
-    report["checks"] = [_check_mean_value(wave, domain, k, args.seed)]
+        min_point=tuple(np.multiply(cert.min_point, s)))),
+        e, "min_sample", "lipschitz_bound", "rounding", "certified_margin")
+    report["checks"] = [_scaled(_check_mean_value(wave, domain, k, args.seed), e,
+                                "residual", "tolerance")]
     if args.wave:
-        herglotz.save_wave(dataclasses.replace(wave, k=wave.k / s, center=wave.center * s),
+        user = herglotz.scaled_wave(wave, e)
+        if not np.all(np.isfinite(np.r_[user.a0, user.cos_coeffs, user.sin_coeffs])):
+            raise InputError(f"--wave: the wave's coefficients overflow at --c0 {args.c0:g}")
+        herglotz.save_wave(dataclasses.replace(user, k=wave.k / s, center=wave.center * s),
                            args.wave)
     if args.csv:
-        values = herglotz.eval_series(wave, where.points)
+        with np.errstate(over="ignore"):
+            values = np.ldexp(herglotz.eval_series(wave, where.points), e)
         _write_csv(zip(*(where.points * s).T, values), ("x", "y", "value"), args.csv)
     _finish(report, t0, args)
     return EXIT_OK if cert.certified else EXIT_UNCERTIFIED
@@ -228,7 +253,7 @@ def cmd_counterexample(args) -> int:
     report = {"command": "counterexample", "config": _config_echo(args),
               "circle_radius": radius, "gate": _gate_dict(gate, s)}
     _, fit, converged = _fit(domain, ks, args, M)
-    report["fit_attempt"] = {"failed": not converged, **dataclasses.asdict(fit)}
+    report["fit_attempt"] = {"failed": not converged, **fit}
 
     rng = np.random.default_rng(args.seed)
     n_change = 0
@@ -256,14 +281,16 @@ def cmd_scan_k(args) -> int:
     domain, s, _ = _in_units(_load_domain_arg(args), args.k_min, "--k-min")  # the least k
     _fit_order(args, args.k_max * s, domain, "--k-max and the domain")
     sampling = geometry.sample_boundary(domain, args.samples)
+    e = _c0_units(args.c0)[1]
     rows = []
     for k in np.linspace(args.k_min, args.k_max, args.steps):
         ks = float(k) * s
         gate = dirichlet.faber_krahn_gate(domain, ks)
         # every row's wave is certified, whether its fit converged or not
         wave, fit, _ = _fit(domain, ks, args, args.max_order)
-        cert = certify.certify_positive(wave, sampling)
-        rows.append((float(k), int(gate.passes), fit.residual_max, cert.certified_margin))
+        cert = _scaled(dataclasses.asdict(certify.certify_positive(wave, sampling)), e,
+                       "certified_margin")
+        rows.append((float(k), int(gate.passes), fit["residual_max"], cert["certified_margin"]))
     _write_csv(rows, ("k", "gate_pass", "residual_max", "certified_margin"), args.csv)
     report = {"command": "scan-k", "config": _config_echo(args),
               "rows": [list(r) for r in rows]}
@@ -415,11 +442,6 @@ def _check_args(args) -> None:
         raise InputError(f"--seed must be non-negative, got {args.seed}")
     if max_order is not None and not 0 <= max_order <= _MAX_ORDER:
         raise InputError(f"--max-order must be in [0, {_MAX_ORDER}], got {max_order}")
-    if flag("mode") is not None:
-        try:
-            linalg.parse_mode(args.mode)
-        except ValueError as exc:
-            raise InputError(f"--mode: {exc}") from exc
     # (flag, least, most)
     for name, least, most in (("m", 1, _MAX_ORDER), ("samples", 1, _MAX_COUNT),
                               ("n_col", 1, _MAX_COUNT), ("n_waves", 1, _MAX_COUNT),
@@ -455,7 +477,6 @@ _FLAGS = {
     "--k": dict(type=float, default=1.0, help="wavenumber (> 0)"),
     "--c0": dict(type=float, default=1.0, help="boundary constant"),
     "--max-order": dict(type=int, help="Fourier-Bessel truncation order M"),
-    "--mode": dict(default="auto", help="qr | tsvd:<t> | tikhonov:<a> | auto"),
     "--n-col": dict(type=int, help="number of collocation points"),
     "--samples": dict(type=int, default=4096,
                       help="certificate samples on the boundary, or on the target "
@@ -475,7 +496,7 @@ _FLAGS = {
     "--steps": dict(type=int, default=26),
 }
 
-_FIT = ("--c0", "--max-order", "--mode")
+_FIT = ("--c0", "--max-order")
 
 #: (subcommand, pipeline, help, the flags it reads)
 _COMMANDS = (
@@ -523,6 +544,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, geometry.GeometryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # writing --out, --wave or --csv (input files raise InputError)
+        print(f"input error: cannot write an output: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -40,7 +40,7 @@ __all__ = [
 
 
 class GateError(RuntimeError):
-    """Spectral gate failed and no override was requested."""
+    """Spectral gate failed."""
 
     def __init__(self, message, gate=None):
         super().__init__(message)
@@ -218,25 +218,23 @@ def _phi_matrix(k: float, targets: np.ndarray, sources: np.ndarray) -> np.ndarra
 
 def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
                         n_col: int | None = None,
-                        mode="tsvd:1e-12", residual_tol: float = 1e-6,
-                        override_gate: bool = False) -> MFSSolution:
+                        residual_tol: float = 1e-6) -> MFSSolution:
     """Charge-collocation solve of the constant-data Dirichlet problem.
 
-    Charges sit on the outward offset of the boundary at distance
-    _DILATION * diam(D). The returned boundary_residual is the max misfit
-    on an independent validation sampling four times denser than the
-    collocation; if it misses residual_tol * |c0| the solve is rejected as
-    ill-resolved or near-eigenvalue (carrying the residual and the
-    truncated-SVD effective rank). Charges that leave or crowd the
+    A failing spectral gate raises GateError. Charges sit on the outward
+    offset of the boundary at distance _DILATION * diam(D), and the system
+    is solved by the truncated SVD at 1e-12. The returned boundary_residual
+    is the max misfit on an independent validation sampling four times
+    denser than the collocation; if it misses residual_tol * |c0| the solve
+    is rejected as ill-resolved or near-eigenvalue (carrying the residual
+    and the truncated-SVD effective rank). Charges that leave or crowd the
     boundary (reentrant corners) are rejected the same way.
     """
     domain, k, c0 = problem.domain, float(problem.k), float(problem.c0)
     gate = faber_krahn_gate(domain, k)
-    if not gate.passes and not override_gate:
-        raise GateError(
-            f"area {gate.area_d:.6g} exceeds the gate threshold "
-            f"{gate.area_threshold:.6g}; pass override_gate=True to force "
-            "a residual-checked solve", gate=gate)
+    if not gate.passes:
+        raise GateError(f"area {gate.area_d:.6g} exceeds the gate threshold "
+                        f"{gate.area_threshold:.6g}", gate=gate)
     if n_col is None:
         n_col = 2 * n_src
     if not (n_col >= 2 * n_src >= 32):
@@ -247,7 +245,7 @@ def solve_dirichlet_mfs(problem: DirichletProblem, n_src: int = 128,
     col = _mfs_collocation(domain, n_col)
     A = _phi_matrix(k, col, sources)
     b = np.full(len(col), c0, dtype=complex)
-    sol = linalg.lstsq(A, b, mode=mode)
+    sol = linalg.lstsq(A, b, thresholds=(1e-12,))
     charges = sol.coefficients
 
     val = geometry.sample_boundary(domain, 4 * n_col, offset=0.37)

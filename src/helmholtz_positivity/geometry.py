@@ -671,6 +671,20 @@ _DOMAIN_KEYS = {
 }
 
 
+def _numbers(obj: dict, key: str, shape: tuple) -> np.ndarray:
+    """obj[key] as a float array of `shape` (None: any length), or a
+    GeometryError naming the key."""
+    try:
+        value = np.asarray(obj[key])
+    except ValueError:  # ragged lists
+        value = None
+    if (value is None or value.dtype.kind not in "iuf" or value.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, value.shape))):
+        form = {(): "a number", (2,): "a pair [x, y]"}.get(shape, "a list of pairs [x, y]")
+        raise GeometryError(f"JSON key {key!r} must be {form}")
+    return value.astype(float)
+
+
 def domain_from_json(obj: dict):
     if not isinstance(obj, dict):
         raise GeometryError("domain JSON must be an object")
@@ -684,10 +698,10 @@ def domain_from_json(obj: dict):
     if missing:
         raise GeometryError(f"missing keys in domain JSON: {sorted(missing)}")
     if kind == "polygon":
-        return polygon(obj["vertices"])
+        return polygon(_numbers(obj, "vertices", (None, 2)))
     if kind == "disk":
-        return disk(obj["center"], obj["radius"])
-    return tube_of(obj["spine"], obj["epsilon"])
+        return disk(_numbers(obj, "center", (2,)), float(_numbers(obj, "radius", ())))
+    return tube_of(_numbers(obj, "spine", (None, 2)), float(_numbers(obj, "epsilon", ())))
 
 
 def domain_to_json(domain) -> dict:
@@ -715,7 +729,7 @@ def save_domain(domain, path) -> None:
 def targets_from_json(obj: dict) -> TargetSet:
     if not isinstance(obj, dict) or set(obj) != {"points"}:
         raise GeometryError('target JSON must be exactly {"points": [[x, y], ...]}')
-    return target_set(obj["points"])
+    return target_set(_numbers(obj, "points", (None, 2)))
 
 
 def targets_to_json(targets: TargetSet) -> dict:

@@ -14,12 +14,12 @@ coefficients
 
 about a chosen expansion center. The basis columns come from one
 J_0..J_M recurrence table (specfun.bessel_j_table) and the powers of
-e^{i theta}. Fits to boundary or interior targets are regularized least
+e^{i theta}. Fits to boundary or interior targets are truncated-SVD least
 squares in this real basis, with validation residuals reported on samplings
-disjoint from the collocation; the automatic mode of linalg.lstsq picks its
-truncation threshold from a ladder of filters applied to a single SVD. The
-fits do not gate: whether k^2 lies below the first Dirichlet eigenvalue is
-the caller's question. Waves are stored as coefficients (wave_to_json);
+disjoint from the collocation; the boundary fit's threshold is picked from
+the ladder linalg.AUTO_TSVD_LADDER, on a single SVD. The fits do not gate:
+whether k^2 lies below the first Dirichlet eigenvalue is the caller's
+question. Waves are stored as coefficients (wave_to_json);
 densities are derived (to_density), not stored.
 """
 
@@ -52,6 +52,7 @@ __all__ = [
     "fit_interior",
     "far_field",
     "random_wave",
+    "scaled_wave",
     "helmholtz_fd_residual",
     "wave_to_json",
     "wave_from_json",
@@ -260,6 +261,15 @@ def random_wave(M: int, k: float, rng: np.random.Generator,
                              center=np.asarray(center, dtype=float))
 
 
+def scaled_wave(wave: FourierBesselWave, e: int) -> FourierBesselWave:
+    """The wave times 2^e, coefficient by coefficient: exact unless one leaves
+    the normal range, and inf past the float range."""
+    with np.errstate(over="ignore"):
+        return FourierBesselWave(k=wave.k, a0=float(np.ldexp(wave.a0, e)),
+                                 cos_coeffs=np.ldexp(wave.cos_coeffs, e),
+                                 sin_coeffs=np.ldexp(wave.sin_coeffs, e), center=wave.center)
+
+
 def default_truncation(k: float, domain) -> int:
     """ceil(k * circumradius about the centroid) + 10; higher modes only
     feed ill-conditioning since Jm(kr) is negligible for m >> kr."""
@@ -272,12 +282,12 @@ def min_collocation(M: int) -> int:
     return min(32, 4 * (2 * M + 1))
 
 
-def _validation_report(wave, misfit: np.ndarray, mode_text: str, n_col: int) -> FitReport:
+def _validation_report(wave, misfit: np.ndarray, label: str, n_col: int) -> FitReport:
     return FitReport(
         residual_max=float(np.max(np.abs(misfit))),
         residual_l2=float(np.sqrt(np.mean(np.abs(misfit) ** 2))),
         M_used=wave.M,
-        regularization=mode_text,
+        regularization=label,
         coefficient_norm=coefficient_norm(wave),
         n_collocation=n_col,
         n_validation=len(misfit),
@@ -285,7 +295,7 @@ def _validation_report(wave, misfit: np.ndarray, mode_text: str, n_col: int) -> 
 
 
 def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
-                 n_col: int | None = None, mode="auto"):
+                 n_col: int | None = None):
     """Least-squares fit of the wave to a constant on the domain boundary.
 
     Returns (wave, report) where the report is computed on an independent
@@ -298,10 +308,8 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     fit.converged false. The fit does not gate; a caller that needs k^2
     below the first eigenvalue checks the gate itself.
 
-    The default mode "auto" selects a truncated-SVD threshold from a
-    ladder, trading a marginally larger misfit for a much smaller
-    coefficient norm; any other mode of linalg.lstsq can be forced
-    instead, e.g. "qr", the minimum-norm least-squares solution.
+    The solve picks a truncated-SVD threshold from linalg.AUTO_TSVD_LADDER,
+    trading a marginally larger misfit for a much smaller coefficient norm.
     """
     k = float(k)
     if M is None:
@@ -316,12 +324,12 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     col = geometry.sample_boundary(domain, n_col)
     A = _basis_matrix(col.points - center, k, M)
     b = np.full(n_col, float(target_c0))
-    sol = linalg.lstsq(A, b, mode=mode)
+    sol = linalg.lstsq(A, b)
     wave = _wave_from_coef(sol.coefficients, k, center)
 
     val = geometry.sample_boundary(domain, 4 * n_col, offset=0.5)
     misfit = eval_series(wave, val.points) - float(target_c0)
-    report = _validation_report(wave, misfit, sol.mode, n_col)
+    report = _validation_report(wave, misfit, sol.label, n_col)
     if report.residual_max > FAIL_THRESHOLD * abs(target_c0):
         raise FitFailedError(
             f"boundary fit failed: residual_max {report.residual_max:.3e} "
@@ -330,13 +338,14 @@ def fit_boundary(domain, k: float, target_c0: float, M: int | None = None,
     return wave, report
 
 
-def fit_interior(points, values, k: float, M: int | None = None, mode="qr",
-                 center=None, holdout_stride: int = 10,
-                 fail_threshold: float = FAIL_THRESHOLD):
-    """Fit the wave to interior samples (point, value).
+def fit_interior(points, values, k: float, M: int | None = None, center=None):
+    """Fit the wave to interior samples (point, value) by least squares, truncated
+    at 1e-12 s_1: the ladder of fit_boundary, which accepts a misfit up to 2
+    percent of the data, would give up digits that an interior fit keeps.
 
-    Every holdout_stride-th point is held out of the fit and used for the
-    report, a deterministic 10 percent split by default.
+    Every tenth point is held out of the fit and used for the report (all
+    points are fitted and reported below 20), and a residual_max above
+    FAIL_THRESHOLD * max |value| raises FitFailedError.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float)
@@ -352,23 +361,23 @@ def fit_interior(points, values, k: float, M: int | None = None, mode="qr",
     M = int(M)
 
     idx = np.arange(len(pts))
-    hold = idx[::holdout_stride] if len(pts) >= 2 * holdout_stride else idx[:0]
+    hold = idx[::10] if len(pts) >= 20 else idx[:0]
     fitidx = np.setdiff1d(idx, hold)
     if len(fitidx) < 2 * M + 1:
         raise ValueError(
             f"{len(fitidx)} fit targets cannot determine {2 * M + 1} coefficients")
     A = _basis_matrix(pts[fitidx] - center, k, M)
     scale = max(float(np.max(np.abs(vals))), 1e-300)
-    sol = linalg.lstsq(A, vals[fitidx], mode=mode)
+    sol = linalg.lstsq(A, vals[fitidx], thresholds=(1e-12,))
     wave = _wave_from_coef(sol.coefficients, k, center)
 
     check = hold if len(hold) else fitidx
     misfit = eval_series(wave, pts[check]) - vals[check]
-    report = _validation_report(wave, misfit, sol.mode, len(fitidx))
-    if report.residual_max > fail_threshold * scale:
+    report = _validation_report(wave, misfit, sol.label, len(fitidx))
+    if report.residual_max > FAIL_THRESHOLD * scale:
         raise FitFailedError(
             f"interior fit failed: residual_max {report.residual_max:.3e} "
-            f"> {fail_threshold:g} * scale", report=report, wave=wave)
+            f"> {FAIL_THRESHOLD:g} * scale", report=report, wave=wave)
     return wave, report
 
 

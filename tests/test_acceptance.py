@@ -87,7 +87,7 @@ def test_criterion_04_compact_set_pipeline():
         inner = g.tube_of(tube.spine, 0.1)  # the tube shrunk by 0.1
         pts = dr.halton_interior(inner, 600, seed=42)
         vals = dr.evaluate_interior(sol, pts)
-        wave, _ = hg.fit_interior(pts, vals, 1.0, mode="qr")
+        wave, _ = hg.fit_interior(pts, vals, 1.0)
         targets = g.target_set([[-1, 0], [-0.5, 0], [0, 0], [0.5, 0], [1, 0]])
         cert = cf.certify_positive_on_set(wave, targets)
         assert cert.certified
@@ -132,7 +132,7 @@ def _fitted_acceptance_waves():
     tube = g.tube_of([[-1.0, 0.0], [1.0, 0.0]], 0.2)
     sol = dr.solve_dirichlet_mfs(dr.DirichletProblem(tube, 1.0, 1.0))
     pts = dr.halton_interior(g.tube_of(tube.spine, 0.1), 600, seed=42)
-    wave, _ = hg.fit_interior(pts, dr.evaluate_interior(sol, pts), 1.0, mode="qr")
+    wave, _ = hg.fit_interior(pts, dr.evaluate_interior(sol, pts), 1.0)
     waves.append((wave, tube))
     return waves
 

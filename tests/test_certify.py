@@ -96,6 +96,24 @@ def test_rounding_term_enters_margin():
                                      - cert.rounding)
 
 
+@pytest.mark.parametrize("e", [-300, -1000])
+def test_small_wave_certificate_is_the_scaled_certificate(e):
+    # ||c||_1 < 1: the certificate runs on a copy with ||c||_1 in [1, 2), where
+    # the terms c_m J~_m do not underflow, so the wave times 2^e has the
+    # certificate times 2^e; evaluated as given, its samples were off by
+    # their own size and the margin read -0.027 (times 2^-300) for 0.970
+    square = g.polygon([[0, 0], [1, 0], [1, 1], [0, 1]])
+    sampling = g.sample_boundary(square, 4096)
+    wave, _ = hg.fit_boundary(square, 1.0, 1.0)
+    cert = cf.certify_positive(wave, sampling)
+    small = cf.certify_positive(hg.scaled_wave(wave, e), sampling)
+    assert cert.certified and cert.certified_margin > 0.97
+    for key in ("min_sample", "lipschitz_bound", "rounding", "certified_margin"):
+        assert getattr(small, key) == math.ldexp(getattr(cert, key), e)
+    for key in ("max_gap", "certified", "n_samples", "min_point"):
+        assert getattr(small, key) == getattr(cert, key)
+
+
 @pytest.mark.parametrize("M", [14, 40, 100, 200])
 def test_rounding_bounds_the_evaluation_error(M):
     # eval_series against the same sum at 40 digits, at points with kr from

@@ -149,13 +149,59 @@ def test_bad_domain_json_exit4(files, capsys):
     assert run(["positive-boundary", "--domain", str(bad)]) == 4
 
 
+def _file_case(flag, obj, key):
+    return pytest.param(flag, obj, key, id=f"{flag} {json.dumps(obj)}")
+
+
+@pytest.mark.parametrize("flag, obj, key", [
+    _file_case("--domain", {"type": "polygon", "vertices": [[0, 0], [1, "a"], [0, 1]]},
+               "vertices"),
+    _file_case("--domain", {"type": "polygon", "vertices": [[0, 0], [1, 0], [0]]}, "vertices"),
+    _file_case("--domain", {"type": "polygon", "vertices": {"a": 1}}, "vertices"),
+    _file_case("--domain", {"type": "disk", "center": [0, 0], "radius": "abc"}, "radius"),
+    _file_case("--domain", {"type": "disk", "center": [0, 0], "radius": [1]}, "radius"),
+    _file_case("--domain", {"type": "disk", "center": [0], "radius": 1}, "center"),
+    _file_case("--domain", {"type": "disk", "center": None, "radius": 1}, "center"),
+    _file_case("--domain", {"type": "tube", "spine": [[-1, 0], [1, 0]], "epsilon": None},
+               "epsilon"),
+    _file_case("--target", {"points": [[0, "x"]]}, "points"),
+    _file_case("--target", {"points": [[0, 0], [1]]}, "points"),
+])
+def test_mistyped_input_files_exit4(files, capsys, flag, obj, key):
+    # valid JSON with a field of the wrong type or shape: one input error naming the key
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(json.dumps(obj))
+    inputs = {"--domain": files["square.json"], "--target": files["square_targets.json"],
+              flag: str(bad)}
+    assert run(["positive-set", *sum(map(list, inputs.items()), [])]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and repr(key) in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["positive-boundary", "--domain", "square.json", "--out"],
+    ["positive-boundary", "--domain", "square.json", "--wave"],
+    ["positive-boundary", "--domain", "square.json", "--csv"],
+    ["positive-set", "--domain", "square.json", "--target", "square_targets.json", "--csv"],
+    ["counterexample", "--n-waves", "2", "--out"],
+    ["scan-k", "--domain", "square.json", "--k-min", "1", "--k-max", "2", "--steps", "2",
+     "--csv"],
+    ["selftest", "--out"],
+], ids=lambda argv: " ".join(argv))
+def test_output_in_a_missing_directory_exits4(files, capsys, argv):
+    missing = str(files["tmp"] / "missing" / "output")
+    assert run([files.get(a, a) for a in argv] + [missing]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and missing in err[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["positive-boundary", "--k", "0"],
     ["positive-boundary", "--k", "nan"],
     ["positive-boundary", "--k", "inf"],
     ["positive-boundary", "--max-order", "-1"],
+    # no command takes a least-squares mode: one rule fits every wave
     ["positive-boundary", "--mode", "bogus"],
-    # a mode parameter must be finite and non-negative, and qr takes none
     ["positive-boundary", "--mode", "qr:5"],
     ["positive-boundary", "--mode", "tsvd:-1"],
     ["positive-boundary", "--mode", "tikhonov:nan"],
@@ -228,6 +274,11 @@ def test_bad_domain_json_exit4(files, capsys):
     ["selftest", "--max-order", "3"],
     ["selftest", "--n-col", "40"],
     ["selftest", "--mode", "qr"],
+    ["positive-boundary", "--mode", "auto"],
+    ["positive-set", "--mode", "auto"],
+    ["counterexample", "--mode", "auto"],
+    ["scan-k", "--mode", "auto", "--k-min", "0.5", "--k-max", "3"],
+    ["selftest", "--mode", "auto"],
     ["selftest", "--samples", "512"],
     ["selftest", "--override-gate"],
     ["selftest", "--boundary-tol", "1e-9"],
@@ -271,7 +322,7 @@ def test_counterexample_at_k_2e_308_scales_its_disk_into_units(files):
 
 
 def test_each_command_takes_only_the_flags_it_reads():
-    fit = "--c0 --max-order --mode "
+    fit = "--c0 --max-order "
     table = {
         "positive-boundary": "--domain --k " + fit + "--n-col --samples --seed "
                              "--csv --wave --out",
@@ -283,7 +334,7 @@ def test_each_command_takes_only_the_flags_it_reads():
     }
     flags = subcommand_flags()
     assert flags == {command: set(names.split()) for command, names in table.items()}
-    assert sum(map(len, flags.values())) == 45
+    assert sum(map(len, flags.values())) == 41
 
 
 def test_wave_count_cap():
@@ -690,6 +741,91 @@ def test_every_scale_gives_the_unit_result(files, capsys, case):
         assert {key: wave[key] for key in ("M", "a0", "ac", "as")} == \
             {key: wave0[key] for key in ("M", "a0", "ac", "as")}
     assert capsys.readouterr().err == ""
+
+
+UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+def _c0_run(tmp, command, c0, *argv):
+    """(exit code, report, wave or None, CSV values or None) of a run at --c0 c0 on
+    the square (0, 0)-(1, 1), with targets inside for positive-set."""
+    (tmp / "c0_square.json").write_text(json.dumps({"type": "polygon", "vertices": UNIT_SQUARE}))
+    (tmp / "c0_targets.json").write_text(json.dumps({"points": [[0.5, 0.5], [0.2, 0.7]]}))
+    out, wave, csv = tmp / "c0.json", tmp / "c0_wave.json", tmp / "c0.csv"
+    for path in (out, wave, csv):
+        path.unlink(missing_ok=True)
+    inputs = {"positive-boundary": ["--domain", "c0_square.json"],
+              "positive-set": ["--domain", "c0_square.json", "--target", "c0_targets.json"],
+              "counterexample": ["--n-waves", "2"],
+              "scan-k": ["--domain", "c0_square.json", "--k-min", "0.5", "--k-max", "3",
+                         "--steps", "4"]}[command]
+    code = run([command, *(str(tmp / a) if a.endswith(".json") else a for a in inputs),
+                "--c0", repr(c0), "--out", str(out), *argv])
+    values = (np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)[:, -1]
+              if csv.exists() else None)
+    return code, load_strict(out) if out.exists() else None, \
+        load(wave) if wave.exists() else None, values
+
+
+def _times(value, e):
+    with np.errstate(over="ignore"):
+        return np.ldexp(value, e).tolist()
+
+
+@pytest.mark.parametrize("e", [-1000, -500, -100, 100, 500, 1000])
+def test_every_c0_scale_gives_the_unit_result(files, capsys, e):
+    # fit, certificate and check are linear in c0, and the commands run them at
+    # c0 over its power of two: --c0 2^e reports the --c0 1 values times 2^e, bit
+    # for bit (ldexp rounds the subnormal ones), and exits as --c0 1 does
+    tmp, f = files["tmp"], math.ldexp(1.0, e)
+    scaled = {"fit": ("residual_max", "residual_l2", "coefficient_norm"),
+              "certificate": ("min_sample", "lipschitz_bound", "rounding", "certified_margin")}
+    for command in ("positive-boundary", "positive-set"):
+        argv = ["--wave", str(tmp / "c0_wave.json"), "--csv", str(tmp / "c0.csv")]
+        code0, rep0, wave0, values0 = _c0_run(tmp, command, 1.0, *argv)
+        code, rep, wave, values = _c0_run(tmp, command, f, *argv)
+        assert code == code0 == 0
+        for block, keys in scaled.items():
+            assert {key: rep[block][key] for key in keys} == \
+                {key: _times(rep0[block][key], e) for key in keys}
+            assert {key: v for key, v in rep[block].items() if key not in keys} == \
+                {key: v for key, v in rep0[block].items() if key not in keys}
+        (check,), (check0,) = rep["checks"], rep0["checks"]
+        assert (check["residual"], check["tolerance"], check["passed"]) == \
+            (_times(check0["residual"], e), _times(check0["tolerance"], e), True)
+        assert {key: wave[key] for key in ("a0", "ac", "as")} == \
+            {key: _times(wave0[key], e) for key in ("a0", "ac", "as")}
+        assert values.tolist() == _times(values0, e)
+    code0, rep0, _, _ = _c0_run(tmp, "scan-k", 1.0)
+    code, rep, _, _ = _c0_run(tmp, "scan-k", f)
+    assert code == code0 == 0
+    assert [row[:2] + _times(row[2:], e) for row in rep0["rows"]] == rep["rows"]
+    code0, rep0, _, _ = _c0_run(tmp, "counterexample", 1.0)
+    code, rep, _, _ = _c0_run(tmp, "counterexample", f)
+    assert code == code0 == 0
+    assert rep["fit_attempt"]["residual_max"] == _times(rep0["fit_attempt"]["residual_max"], e)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["positive-boundary", "positive-set", "counterexample",
+                                     "scan-k"])
+@pytest.mark.parametrize("c0", [1e155, 1e308, 5e-324])
+def test_extreme_c0_exits_as_the_unit_c0(files, capsys, command, c0):
+    # no traceback and no numpy warning (pytest makes warnings errors): the exit
+    # code is --c0 1's, and a value past the float range is null in the report
+    code0 = _c0_run(files["tmp"], command, 1.0)[0]
+    code, rep, _, _ = _c0_run(files["tmp"], command, c0)
+    assert code == code0 == 0 and rep["config"]["c0"] == c0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_wave_past_the_float_range_is_an_input_error(files, capsys):
+    # at --c0 1e308 the certificate holds, but the wave's a0 overflows
+    argv = ["--wave", str(files["tmp"] / "c0_wave.json")]
+    code, rep, wave, _ = _c0_run(files["tmp"], "positive-boundary", 1e308, *argv)
+    assert (code, rep, wave) == (4, None, None)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: --wave")
 
 
 def test_scan_k_report_is_strict_json(files):

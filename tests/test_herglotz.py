@@ -158,14 +158,6 @@ def test_square_fit_succeeds():
     assert wave.M == 20
 
 
-def test_fit_validation_monotone_in_order_qr():
-    # fixed collocation: validation rms at order M+5 is no worse than at M
-    n_col = 4 * (2 * 25 + 1)
-    _, rep_lo = hg.fit_boundary(SQUARE, 1.0, 1.0, M=20, n_col=n_col, mode="qr")
-    _, rep_hi = hg.fit_boundary(SQUARE, 1.0, 1.0, M=25, n_col=n_col, mode="qr")
-    assert rep_hi.residual_l2 <= rep_lo.residual_l2 + 1e-12
-
-
 # --- interior fit ------------------------------------------------------------------
 
 def test_interior_fit_recovers_basis_element():

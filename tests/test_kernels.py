@@ -2,9 +2,9 @@
 
 Each kernel replaced a slower direct evaluation or a scipy routine; the
 references here are those forms: scipy.special.jv per order,
-scipy.special.hankel1, one linalg.lstsq call per threshold of the auto
-ladder, LAPACK's pivoted QR through scipy.linalg.qr, scipy.special.jn_zeros,
-and scipy.stats.qmc.Halton. The package itself must not import
+scipy.special.hankel1, numpy's pseudo-inverse per threshold of the auto
+ladder, LAPACK's pivoted QR through scipy.linalg.qr (for the effective
+rank), scipy.special.jn_zeros, and scipy.stats.qmc.Halton. The package itself must not import
 scipy.stats or scipy.optimize (they cost most of a cold CLI call) nor
 scipy.linalg (a second BLAS), so the references are imported here only.
 Every Bessel value and zero a command needs comes from the package's own
@@ -109,20 +109,27 @@ def test_one_svd_ladder_matches_separate_solves(domain):
     i = next(i for i, c in enumerate(colmax) if c <= accept)
 
     t = la.AUTO_TSVD_LADDER[i]
-    sol = la.lstsq(A, b, mode="auto")
-    assert sol.mode == f"auto(tsvd:{t:g})"
+    sol = la.lstsq(A, b)
+    assert sol.label == f"auto(tsvd:{t:g})"
     # a solve truncated at t s_1 is conditioned up to 1/t
     err = np.max(np.abs(sol.coefficients - refs[i]))
     assert err <= 10 * np.finfo(float).eps / t * np.linalg.norm(refs[i])
 
 
-@pytest.mark.parametrize("mode", ["qr", "tsvd:1e-12"])
+def qr_cutoff(A):
+    """max(m, n) eps, the rank cutoff of a pivoted QR, as linalg.lstsq thresholds."""
+    return (max(A.shape) * np.finfo(float).eps,)
+
+
+@pytest.mark.parametrize("mode", ["qr", "tsvd:1e-12", "auto"])
 def test_complex_lstsq_reports_complex_rank(mode):
     rng = np.random.default_rng(31)
     left = rng.standard_normal((30, 3)) + 1j * rng.standard_normal((30, 3))
     right = rng.standard_normal((3, 10)) + 1j * rng.standard_normal((3, 10))
     b = rng.standard_normal(30) + 1j * rng.standard_normal(30)
-    sol = la.lstsq(left @ right, b, mode=mode)
+    A = left @ right
+    sol = la.lstsq(A, b, {"qr": qr_cutoff(A), "tsvd:1e-12": (1e-12,),
+                          "auto": la.AUTO_TSVD_LADDER}[mode])
     assert sol.effective_rank == 3
     assert np.iscomplexobj(sol.coefficients)
 
@@ -179,24 +186,25 @@ QR_CASES = {
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("case", list(QR_CASES))
 def test_pivoted_qr_matches_lapack(case, cplx):
-    # mode "qr" keeps s > max(m, n) eps s_1; its rank is the one LAPACK's
-    # pivoted QR gives at the same cutoff on |R_ii|
+    # at the threshold max(m, n) eps the truncated SVD keeps as many singular
+    # values as LAPACK's pivoted QR keeps |R_ii| at the same cutoff
     rng = np.random.default_rng([0, cplx])
     A = QR_CASES[case](rng, cplx)
     b = _random(rng, (A.shape[0],), cplx)
     d_ref = np.abs(np.diag(scipy.linalg.qr(A, mode="economic", pivoting=True)[1]))
     rank = int(np.count_nonzero(d_ref > max(A.shape) * np.finfo(float).eps * d_ref[0]))
-    assert la.lstsq(A, b, mode="qr").effective_rank == rank
+    assert la.lstsq(A, b, qr_cutoff(A)).effective_rank == rank
 
 
 @pytest.mark.parametrize("cplx", [False, True], ids=["real", "complex"])
 def test_qr_mode_is_minimum_norm(cplx):
-    # on a rank-deficient system the filter gives the pseudo-inverse solution,
-    # not a basic one with zeros in the dropped pivots
+    # on a rank-deficient system the truncated SVD at the pivoted-QR cutoff
+    # gives the pseudo-inverse solution, not a basic one with zeros in the
+    # dropped pivots
     rng = np.random.default_rng([0, cplx])
     A = QR_CASES["rank3"](rng, cplx)
     b = _random(rng, (A.shape[0],), cplx)
-    sol = la.lstsq(A, b, mode="qr")
+    sol = la.lstsq(A, b, qr_cutoff(A))
     ref = np.linalg.pinv(A) @ b
     assert sol.effective_rank == 3
     assert np.max(np.abs(sol.coefficients - ref)) <= 1e-12 * np.linalg.norm(ref)
