@@ -452,12 +452,17 @@ def _check_args(args) -> None:
                              f"got {value}")
 
 
+#: A bad domain or target file: unreadable, not UTF-8 JSON, too deeply nested, or invalid.
+_BAD_FILE = (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError,
+             geometry.GeometryError)
+
+
 def _load_domain_arg(args):
     if not args.domain:
         raise InputError("--domain is required for this command")
     try:
         return geometry.load_domain(args.domain)
-    except (OSError, json.JSONDecodeError, geometry.GeometryError) as exc:
+    except _BAD_FILE as exc:
         raise InputError(f"bad domain file {args.domain}: {exc}") from exc
 
 
@@ -466,7 +471,7 @@ def _load_targets_arg(args):
         raise InputError("--target is required for positive-set")
     try:
         return geometry.load_targets(args.target)
-    except (OSError, json.JSONDecodeError, geometry.GeometryError) as exc:
+    except _BAD_FILE as exc:
         raise InputError(f"bad target file {args.target}: {exc}") from exc
 
 

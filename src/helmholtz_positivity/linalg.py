@@ -41,7 +41,6 @@ class LeastSquaresSolution:
 
 def _svd(A: np.ndarray):
     """Thin SVD (U, s, V) with s nonincreasing and A = U @ diag(s) @ V^H."""
-    A = np.asarray(A)
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     return U, s, Vh.conj().T
 

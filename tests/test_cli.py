@@ -178,6 +178,19 @@ def test_mistyped_input_files_exit4(files, capsys, flag, obj, key):
     assert len(err) == 1 and err[0].startswith("input error:") and repr(key) in err[0]
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not UTF-8", "nested past the parser's depth"])
+@pytest.mark.parametrize("flag", ["--domain", "--target"])
+def test_unparsable_input_file_exits4(files, capsys, flag, content):
+    bad = files["tmp"] / "unparsable.json"
+    bad.write_bytes(content)
+    inputs = {"--domain": files["square.json"], "--target": files["square_targets.json"],
+              flag: str(bad)}
+    assert run(["positive-set", *sum(map(list, inputs.items()), [])]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: bad") and str(bad) in err[0]
+
+
 @pytest.mark.parametrize("argv", [
     ["positive-boundary", "--domain", "square.json", "--out"],
     ["positive-boundary", "--domain", "square.json", "--wave"],
